@@ -43,7 +43,8 @@ from ..obs import (
 from ..obs.trace import SpanContext, Tracer
 from .admission import DeadlineExceededError
 
-__all__ = ["EngineClosedError", "ScoringEngine", "LRUCache", "row_key"]
+__all__ = ["EngineClosedError", "ScoringEngine", "LRUCache", "row_key",
+           "row_keys"]
 
 
 class EngineClosedError(RuntimeError):
@@ -58,13 +59,30 @@ def row_key(categorical: np.ndarray, sequences: np.ndarray,
     sound by construction — two requests share a key only if their logits
     are provably identical.
     """
-    h = hashlib.sha256()
+    return row_keys(np.asarray(categorical)[None], np.asarray(sequences)[None],
+                    np.asarray(mask)[None])[0]
+
+
+def row_keys(categorical: np.ndarray, sequences: np.ndarray,
+             mask: np.ndarray) -> list[bytes]:
+    """:func:`row_key` of every row along the leading axis.
+
+    The arrays are made canonical once for the whole request; each row
+    then costs one SHA-256 over views of that memory.
+    """
+    parts = []
     for array, dtype in ((categorical, np.int64), (sequences, np.int64),
                          (mask, np.bool_)):
         canonical = np.ascontiguousarray(array, dtype=dtype)
-        h.update(str(canonical.shape).encode())
-        h.update(canonical.tobytes())
-    return h.digest()
+        parts.append((str(canonical.shape[1:]).encode(), canonical))
+    keys = []
+    for r in range(len(categorical)):
+        h = hashlib.sha256()
+        for shape, canonical in parts:
+            h.update(shape)
+            h.update(canonical[r])
+        keys.append(h.digest())
+    return keys
 
 
 class LRUCache:
@@ -78,11 +96,19 @@ class LRUCache:
         self._lock = threading.Lock()
 
     def get(self, key: bytes) -> float | None:
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[bytes]) -> list[float | None]:
+        """Look up several keys under one lock acquisition."""
+        entries = self._entries
+        found: list[float | None] = []
         with self._lock:
-            if key not in self._entries:
-                return None
-            self._entries.move_to_end(key)
-            return self._entries[key]
+            for key in keys:
+                value = entries.get(key)
+                if value is not None:
+                    entries.move_to_end(key)
+                found.append(value)
+        return found
 
     def put(self, key: bytes, value: float) -> None:
         if self.capacity == 0:
@@ -104,7 +130,7 @@ class _Request:
                  "deadline")
 
     def __init__(self, request_id: int, categorical, sequences, mask,
-                 key: bytes | None,
+                 key: bytes | None, enqueued_at: float,
                  trace: SpanContext | None = None,
                  trace_parent_id: str | None = None,
                  deadline: float | None = None):
@@ -118,7 +144,7 @@ class _Request:
         self.trace = trace
         self.trace_parent_id = trace_parent_id
         self.future: Future = Future()
-        self.enqueued_at = time.monotonic()
+        self.enqueued_at = enqueued_at
         # Absolute monotonic deadline; a request still queued past it is
         # rejected by the flushing worker instead of scored.
         self.deadline = deadline
@@ -177,65 +203,100 @@ class ScoringEngine:
                    deadline: float | None = None) -> Future:
         """Queue one feature row; the future resolves to its logit (float).
 
-        ``trace_parent`` links the request's spans under an ingress span
-        (the HTTP handler's); with a tracer but no parent, the request
-        starts its own trace (head-sampled).
+        A one-row :meth:`submit_rows`; see there for ``trace_parent`` and
+        ``deadline``.
+        """
+        return self.submit_rows(
+            np.asarray(categorical)[None], np.asarray(sequences)[None],
+            np.asarray(mask)[None], trace_parent=trace_parent,
+            deadline=deadline)[0]
 
-        ``deadline`` is an absolute ``time.monotonic()`` instant; if it
-        passes while the row is still queued, the future fails with
+    def submit_rows(self, categorical: np.ndarray, sequences: np.ndarray,
+                    mask: np.ndarray, *,
+                    trace_parent: SpanContext | None = None,
+                    deadline: float | None = None) -> list[Future]:
+        """Queue a request's rows (the arrays' leading axis) as one unit.
+
+        Returns one future per row, in order; each resolves to that row's
+        logit (float).  The engine lock is taken once: every row is keyed
+        and cache-checked, the misses are enqueued together, and the
+        workers are notified once — either every row is accepted or, on a
+        closed engine, none is.
+
+        ``trace_parent`` links each row's spans under an ingress span (the
+        HTTP handler's); with a tracer but no parent, each row starts its
+        own trace (head-sampled).
+
+        ``deadline`` is an absolute ``time.monotonic()`` instant; a row
+        still queued when it passes fails with
         :class:`DeadlineExceededError` instead of being scored — expired
         work is shed, not computed.  Callers may also ``cancel()`` the
         future of a row they stopped waiting for; cancelled rows are
         dropped from the batch before the forward runs.
         """
-        key = (row_key(categorical, sequences, mask)
-               if self.cache.capacity else None)
+        n = len(categorical)
+        keys = (row_keys(categorical, sequences, mask)
+                if self.cache.capacity else [None] * n)
         tracer = self.tracer
-        trace = trace_parent_id = None
+        traces: list[SpanContext | None] = [None] * n
+        parent_id = trace_parent.span_id if trace_parent is not None else None
         if tracer is not None:
-            context = tracer.make_context(trace_parent)
-            if context.sampled:
-                trace = context
-                trace_parent_id = (trace_parent.span_id
-                                   if trace_parent is not None else None)
+            for r in range(n):
+                context = tracer.make_context(trace_parent)
+                if context.sampled:
+                    traces[r] = context
+        now = time.monotonic()
         with self._cond:
             if self._closing:
                 raise EngineClosedError("scoring engine is shut down")
-            self._next_id += 1
-            request = _Request(self._next_id, categorical, sequences, mask,
-                               key, trace=trace,
-                               trace_parent_id=trace_parent_id,
-                               deadline=deadline)
-            cached = self.cache.get(key) if key is not None else None
+            first_id = self._next_id + 1
+            self._next_id += n
+            requests = [
+                _Request(first_id + r, categorical[r], sequences[r], mask[r],
+                         keys[r], now, trace=traces[r],
+                         trace_parent_id=parent_id, deadline=deadline)
+                for r in range(n)]
+            cached = self.cache.get_many(keys)
             depth = len(self._queue)
-            if cached is None:
-                self._queue.append(request)
+            misses = [req for req, hit in zip(requests, cached)
+                      if hit is None]
+            if misses:
+                self._queue.extend(misses)
+                # Wake as many workers as the misses can keep busy.
+                self._cond.notify(-(-len(misses) // self.max_batch_size))
+        hits = n - len(misses)
+        self.registry.counter("serve.requests").inc(n)
+        if hits:
+            self.registry.counter("serve.cache.hits").inc(hits)
+        if misses:
+            self.registry.counter("serve.cache.misses").inc(len(misses))
+        self._set_hit_ratio()
+        observed = bool(self._observers)
+        done = time.monotonic()
+        latency_ms = (done - now) * 1000.0
+        for request, value in zip(requests, cached):
+            trace = request.trace
+            trace_id = trace.trace_id if trace is not None else None
+            if value is None:
                 depth += 1
-                self._cond.notify()
-        trace_id = trace.trace_id if trace is not None else None
-        self.registry.counter("serve.requests").inc()
-        self._emit("on_request_received", RequestReceivedEvent(
-            request_id=request.request_id, cached=cached is not None,
-            queue_depth=depth, trace_id=trace_id))
-        if cached is not None:
-            self.registry.counter("serve.cache.hits").inc()
-            done = time.monotonic()
-            latency_ms = (done - request.enqueued_at) * 1000.0
+            if observed:
+                self._emit("on_request_received", RequestReceivedEvent(
+                    request_id=request.request_id, cached=value is not None,
+                    queue_depth=depth, trace_id=trace_id))
+            if value is None:
+                continue
             self._record_latency(latency_ms)
-            self._set_hit_ratio()
             if trace is not None:
                 tracer.record_span(
-                    "serve.request", trace, request.enqueued_at, done,
-                    span_id=trace.span_id, parent_id=trace_parent_id,
+                    "serve.request", trace, now, done,
+                    span_id=trace.span_id, parent_id=request.trace_parent_id,
                     attrs={"request_id": request.request_id, "cached": True})
-            request.future.set_result(cached)
-            self._emit("on_request_completed", RequestCompletedEvent(
-                request_id=request.request_id, latency_ms=latency_ms,
-                cached=True, batch_size=0, trace_id=trace_id))
-        else:
-            self.registry.counter("serve.cache.misses").inc()
-            self._set_hit_ratio()
-        return request.future
+            request.future.set_result(value)
+            if observed:
+                self._emit("on_request_completed", RequestCompletedEvent(
+                    request_id=request.request_id, latency_ms=latency_ms,
+                    cached=True, batch_size=0, trace_id=trace_id))
+        return [request.future for request in requests]
 
     def score(self, rows: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
               timeout: float | None = None) -> np.ndarray:
@@ -247,7 +308,10 @@ class ScoringEngine:
         timeout the still-pending futures are abandoned (cancelled or
         failed) so no worker scores rows this caller stopped waiting for.
         """
-        futures = [self.submit_row(*row) for row in rows]
+        if not rows:
+            return np.zeros(0, dtype=np.float64)
+        futures = self.submit_rows(*(np.stack(column)
+                                     for column in zip(*rows)))
         deadline = (time.monotonic() + timeout) if timeout is not None \
             else None
         try:

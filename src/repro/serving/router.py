@@ -36,7 +36,7 @@ import numpy as np
 
 from ..obs import MetricRegistry
 from ..obs.trace import SpanContext
-from .batcher import ScoringEngine, row_key
+from .batcher import ScoringEngine, row_keys
 
 __all__ = ["ModelRouter", "Deployment"]
 
@@ -52,11 +52,12 @@ class Deployment:
         self.engine = engine
 
 
-def _route_bucket(categorical: np.ndarray, sequences: np.ndarray,
-                  mask: np.ndarray) -> int:
-    """Deterministic bucket in [0, 10000) from the full feature row."""
-    digest = row_key(categorical, sequences, mask)
-    return int.from_bytes(digest[:8], "big") % 10_000
+def _route_buckets(categorical: np.ndarray, sequences: np.ndarray,
+                   mask: np.ndarray) -> np.ndarray:
+    """Deterministic bucket in [0, 10000) per row, from the full feature
+    row."""
+    return np.array([int.from_bytes(key[:8], "big") % 10_000
+                     for key in row_keys(categorical, sequences, mask)])
 
 
 class ModelRouter:
@@ -66,9 +67,10 @@ class ModelRouter:
                  metrics: MetricRegistry | None = None):
         self._factory = engine_factory
         self.metrics = metrics if metrics is not None else MetricRegistry()
-        # Guards the deployment pointers AND spans each submit_row call, so
-        # a swap can never close an engine between a request picking it and
-        # enqueueing into it — the zero-drop invariant.
+        # Guards the deployment pointers AND spans each submit_rows call,
+        # so a swap can never close an engine between a request picking it
+        # and enqueueing into it (the zero-drop invariant), and every row
+        # of one request sees the same primary.
         self._lock = threading.Lock()
         self._primary: Deployment | None = None
         self._shadow: Deployment | None = None
@@ -157,43 +159,81 @@ class ModelRouter:
                deadline: float | None = None) -> tuple[Future, str]:
         """Route one row; returns (future, version-that-scores-it).
 
-        The hash split is evaluated per row, the shadow copy (if any) is
-        dispatched fire-and-forget, and the row is enqueued while the
-        router lock is held so a concurrent hot-swap cannot close the
-        chosen engine out from under it.
+        A one-row :meth:`submit_rows`.
         """
+        futures, versions = self.submit_rows(
+            np.asarray(categorical)[None], np.asarray(sequences)[None],
+            np.asarray(mask)[None], trace_parent=trace_parent,
+            deadline=deadline)
+        return futures[0], versions[0]
+
+    def submit_rows(self, categorical: np.ndarray, sequences: np.ndarray,
+                    mask: np.ndarray, *,
+                    trace_parent: SpanContext | None = None,
+                    deadline: float | None = None
+                    ) -> tuple[list[Future], list[str]]:
+        """Route a request's rows (the arrays' leading axis) as one unit.
+
+        Returns one future per row and the version that scores each row.
+        The hash split is evaluated per row, the rows bound for each
+        target are enqueued together, and the shadow copy (if any) is
+        dispatched fire-and-forget — all while the router lock is held, so
+        a concurrent hot-swap can neither close a chosen engine under the
+        request nor split it across the old and new primaries.
+        """
+        n = len(categorical)
+        futures: list[Future | None] = [None] * n
+        versions: list[str | None] = [None] * n
         with self._lock:
             if self._primary is None:
                 raise RuntimeError("router has no primary deployment")
-            target = self._primary
-            if self._challenger is not None and \
-                    _route_bucket(categorical, sequences, mask) < \
-                    int(self._fraction * 10_000):
-                target = self._challenger
-                self.metrics.counter("serve.ab.challenger_requests").inc()
+            groups = [(self._primary, range(n))]
+            if self._challenger is not None:
+                to_challenger = _route_buckets(categorical, sequences, mask) \
+                    < int(self._fraction * 10_000)
+                groups = [
+                    (self._primary, np.flatnonzero(~to_challenger).tolist()),
+                    (self._challenger, np.flatnonzero(to_challenger).tolist())]
+                self.metrics.counter("serve.ab.challenger_requests").inc(
+                    len(groups[1][1]))
             shadow = self._shadow
-            future = target.engine.submit_row(
-                categorical, sequences, mask, trace_parent=trace_parent,
-                deadline=deadline)
-            if shadow is not None and target is not shadow:
+            try:
+                for target, rows in groups:
+                    if len(rows) == 0:
+                        continue
+                    whole = len(rows) == n
+                    placed = target.engine.submit_rows(
+                        categorical if whole else categorical[rows],
+                        sequences if whole else sequences[rows],
+                        mask if whole else mask[rows],
+                        trace_parent=trace_parent, deadline=deadline)
+                    for r, future in zip(rows, placed):
+                        futures[r], versions[r] = future, target.version
+            except BaseException:
+                ScoringEngine.abandon(f for f in futures if f is not None)
+                raise
+            if shadow is not None:
                 self._submit_shadow(shadow, categorical, sequences, mask)
-        self.metrics.counter(
-            f"serve.model.{target.version}.requests").inc()
-        version = target.version
-        future.add_done_callback(
-            lambda f, v=version: self._record_outcome(f, v))
-        return future, version
+        for target, rows in groups:
+            if len(rows):
+                self.metrics.counter(
+                    f"serve.model.{target.version}.requests").inc(len(rows))
+        for future, version in zip(futures, versions):
+            future.add_done_callback(
+                lambda f, v=version: self._record_outcome(f, v))
+        return futures, versions
 
     def _submit_shadow(self, shadow: Deployment, categorical, sequences,
                        mask) -> None:
         """Fire-and-forget shadow copy — never on the critical path."""
-        self.metrics.counter("serve.shadow.requests").inc()
+        n = len(categorical)
+        self.metrics.counter("serve.shadow.requests").inc(n)
         self.metrics.counter(
-            f"serve.model.{shadow.version}.requests").inc()
+            f"serve.model.{shadow.version}.requests").inc(n)
         try:
-            future = shadow.engine.submit_row(categorical, sequences, mask)
+            futures = shadow.engine.submit_rows(categorical, sequences, mask)
         except Exception:
-            self.metrics.counter("serve.shadow.errors").inc()
+            self.metrics.counter("serve.shadow.errors").inc(n)
             return
         version = shadow.version
 
@@ -203,7 +243,8 @@ class ModelRouter:
                 self.metrics.counter("serve.shadow.errors").inc()
                 self.metrics.counter(f"serve.model.{v}.errors").inc()
 
-        future.add_done_callback(consume)
+        for future in futures:
+            future.add_done_callback(consume)
 
     def _record_outcome(self, future: Future, version: str) -> None:
         if future.cancelled() or future.exception() is not None:

@@ -299,13 +299,21 @@ def _make_handler(server: ScoringServer):
 
         def _send(self, status: int, body: bytes, content_type: str,
                   extra_headers: dict[str, str] | None = None) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            # Status line, headers and body leave in ONE write.  Written
+            # apart, the body is a second small segment that Nagle's
+            # algorithm holds until the client ACKs the first — and a
+            # keep-alive client delays that ACK by up to 40 ms on Linux.
+            headers = {"Server": self.version_string(),
+                       "Date": self.date_time_string(),
+                       "Content-Type": content_type,
+                       "Content-Length": str(len(body)),
+                       **(extra_headers or {})}
+            head = "".join(f"{name}: {value}\r\n"
+                           for name, value in headers.items())
+            self.wfile.write(
+                f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n{head}\r\n"
+                .encode("latin-1") + body)
 
         def _reply(self, status: int, payload: dict[str, Any],
                    endpoint: str | None = None,
@@ -484,16 +492,15 @@ def _make_handler(server: ScoringServer):
             session = server.session
             futures = []
             try:
-                router = server.router
-                version = None
-                for i in range(len(batch)):
-                    future, version = router.submit(
-                        batch.categorical[i], batch.sequences[i],
-                        batch.mask[i], trace_parent=ingress,
-                        deadline=deadline)
-                    futures.append(future)
-                if version is not None:
-                    span_attrs["model_version"] = version
+                # One routed unit: every row lands on the same primary even
+                # when an /admin/reload swaps it mid-request.  With an A/B
+                # challenger, rows still split per row; the response names
+                # the version that scored the last row.
+                futures, versions = server.router.submit_rows(
+                    batch.categorical, batch.sequences, batch.mask,
+                    trace_parent=ingress, deadline=deadline)
+                version = versions[-1]
+                span_attrs["model_version"] = version
                 logits = []
                 for f in futures:
                     remaining = max(0.0, deadline - time.monotonic())

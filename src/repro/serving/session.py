@@ -34,45 +34,82 @@ def rows_to_batch(schema: DatasetSchema,
     (J × L ids, front-padded with 0 like the training pipeline), and
     ``mask`` (L booleans).  Labels are unknown at serving time and filled
     with zeros; nothing on the inference path reads them.
+
+    All rows are converted with one ``np.asarray`` per field and checked
+    per column.  Only when that fails are the rows walked one by one, so
+    the error names the first bad row exactly as a row-by-row check would.
     """
     if not rows:
         raise ValueError("rows must be non-empty")
     n = len(rows)
-    i, j, t = schema.num_categorical, schema.num_sequential, schema.max_seq_len
-    categorical = np.zeros((n, i), dtype=np.int64)
-    sequences = np.zeros((n, j, t), dtype=np.int64)
-    mask = np.zeros((n, t), dtype=bool)
-    for r, row in enumerate(rows):
-        try:
-            cat = np.asarray(row["categorical"], dtype=np.int64)
-            seq = np.asarray(row["sequences"], dtype=np.int64)
-            msk = np.asarray(row["mask"]).astype(bool)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"row {r}: expected keys categorical/sequences/"
-                             f"mask with integer content ({exc})") from exc
-        if cat.shape != (i,):
-            raise ValueError(f"row {r}: categorical has shape {cat.shape}, "
-                             f"schema {schema.name!r} needs ({i},)")
-        if seq.shape != (j, t):
-            raise ValueError(f"row {r}: sequences has shape {seq.shape}, "
-                             f"schema {schema.name!r} needs ({j}, {t})")
-        if msk.shape != (t,):
-            raise ValueError(f"row {r}: mask has shape {msk.shape}, "
-                             f"schema {schema.name!r} needs ({t},)")
-        for col, spec in enumerate(schema.categorical):
-            if not 0 <= cat[col] < spec.vocab_size:
-                raise ValueError(
-                    f"row {r}: categorical field {spec.name!r} id "
-                    f"{int(cat[col])} outside vocab [0, {spec.vocab_size})")
-        for fld, spec in enumerate(schema.sequential):
-            ids = seq[fld]
-            if ids.min() < 0 or ids.max() >= spec.vocab_size:
-                raise ValueError(
-                    f"row {r}: sequential field {spec.name!r} contains ids "
-                    f"outside vocab [0, {spec.vocab_size})")
-        categorical[r], sequences[r], mask[r] = cat, seq, msk
+    try:
+        batch = _convert_columns(schema, rows)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        batch = None  # malformed somewhere: find the first bad row
+    if batch is None:
+        converted = [_convert_row(schema, r, row) for r, row in enumerate(rows)]
+        batch = tuple(np.stack(column) for column in zip(*converted))
+    categorical, sequences, mask = batch
     return Batch(categorical=categorical, sequences=sequences, mask=mask,
                  labels=np.zeros(n, dtype=np.float64))
+
+
+def _convert_columns(schema: DatasetSchema, rows
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Every row at once; ``None`` (or an exception) unless all are valid."""
+    n = len(rows)
+    i, j, t = schema.num_categorical, schema.num_sequential, schema.max_seq_len
+    categorical = np.asarray([row["categorical"] for row in rows],
+                             dtype=np.int64)
+    sequences = np.asarray([row["sequences"] for row in rows],
+                           dtype=np.int64)
+    mask = np.asarray([row["mask"] for row in rows])
+    # A numeric mask casts to bool the same whole or row by row; other
+    # content (strings, objects) may not, so it takes the row-by-row path.
+    if (categorical.shape != (n, i) or sequences.shape != (n, j, t)
+            or mask.shape != (n, t) or mask.dtype.kind not in "biuf"):
+        return None
+    cat_vocab = np.array([spec.vocab_size for spec in schema.categorical])
+    seq_vocab = np.array([spec.vocab_size for spec in schema.sequential])
+    if ((categorical < 0).any() or (categorical >= cat_vocab).any()
+            or (sequences < 0).any()
+            or (sequences >= seq_vocab[:, None]).any()):
+        return None
+    return categorical, sequences, mask.astype(bool)
+
+
+def _convert_row(schema: DatasetSchema, r: int, row: Mapping[str, Any]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row, validated; errors name row ``r`` and the offending field."""
+    i, j, t = schema.num_categorical, schema.num_sequential, schema.max_seq_len
+    try:
+        cat = np.asarray(row["categorical"], dtype=np.int64)
+        seq = np.asarray(row["sequences"], dtype=np.int64)
+        msk = np.asarray(row["mask"]).astype(bool)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"row {r}: expected keys categorical/sequences/"
+                         f"mask with integer content ({exc})") from exc
+    if cat.shape != (i,):
+        raise ValueError(f"row {r}: categorical has shape {cat.shape}, "
+                         f"schema {schema.name!r} needs ({i},)")
+    if seq.shape != (j, t):
+        raise ValueError(f"row {r}: sequences has shape {seq.shape}, "
+                         f"schema {schema.name!r} needs ({j}, {t})")
+    if msk.shape != (t,):
+        raise ValueError(f"row {r}: mask has shape {msk.shape}, "
+                         f"schema {schema.name!r} needs ({t},)")
+    for col, spec in enumerate(schema.categorical):
+        if not 0 <= cat[col] < spec.vocab_size:
+            raise ValueError(
+                f"row {r}: categorical field {spec.name!r} id "
+                f"{int(cat[col])} outside vocab [0, {spec.vocab_size})")
+    for fld, spec in enumerate(schema.sequential):
+        ids = seq[fld]
+        if ids.min() < 0 or ids.max() >= spec.vocab_size:
+            raise ValueError(
+                f"row {r}: sequential field {spec.name!r} contains ids "
+                f"outside vocab [0, {spec.vocab_size})")
+    return cat, seq, msk
 
 
 class InferenceSession:

@@ -28,7 +28,6 @@ renders and what the CI smoke job asserts over.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,11 +113,8 @@ class OnlineLoop:
         the zero-drop contract) contribute a neutral 0.5 probability so one
         bad row cannot poison the window's metrics, and are counted.
         """
-        futures: list[Future] = []
-        for i in range(len(data)):
-            future, _ = self.router.submit(
-                data.categorical[i], data.sequences[i], data.mask[i])
-            futures.append(future)
+        futures, _ = self.router.submit_rows(
+            data.categorical, data.sequences, data.mask)
         probs = np.full(len(futures), 0.5)
         dropped = 0
         for i, future in enumerate(futures):

@@ -10,6 +10,7 @@ the whole request (never N × timeout for N rows).
 
 import json
 import shutil
+import sys
 import threading
 import time
 import urllib.error
@@ -32,6 +33,7 @@ from repro.serving import (
     ScoringServer,
     dataset_rows,
     export_artifact,
+    rows_to_batch,
 )
 from repro.serving.artifact import WEIGHTS_NAME
 from repro.serving.registry import STATE_NAME, manifest_digest
@@ -373,6 +375,55 @@ class TestModelRouter:
         assert router.describe()["swaps"] == 6
         router.close()
 
+    def test_multi_row_submits_land_whole_during_swaps(self):
+        """Stress: more submitting threads than cores and a short switch
+        interval; every request's rows resolve on one deployment."""
+        router = ModelRouter(_factory)
+        router.deploy_primary(StubSession(), "gen-0")
+        stop = threading.Event()
+        outcomes = []
+        lock = threading.Lock()
+
+        def pound(worker: int):
+            i = 0
+            while not stop.is_set():
+                ids = [worker * 10_000 + i * 8 + k for k in range(8)]
+                rows = [_row(v) for v in ids]
+                futures, versions = router.submit_rows(
+                    *(np.stack(column) for column in zip(*rows)))
+                offset = 1000.0 * int(versions[0].split("-")[1])
+                try:
+                    ok = len(set(versions)) == 1 and [
+                        f.result(timeout=10) for f in futures] == [
+                        v + offset for v in ids]
+                except Exception:
+                    ok = False
+                with lock:
+                    outcomes.append(ok)
+                i += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=pound, args=(w,))
+                   for w in range(6)]
+        try:
+            for t in threads:
+                t.start()
+            for generation in range(1, 9):
+                time.sleep(0.02)
+                router.deploy_primary(
+                    StubSession(offset=1000.0 * generation),
+                    f"gen-{generation}")
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+            router.close()
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) > 0
+        assert all(outcomes)
+
     def test_close_is_idempotent_and_final(self):
         router = ModelRouter(_factory)
         router.deploy_primary(StubSession(), "v1")
@@ -499,6 +550,52 @@ class TestFleetHTTP:
             assert after["logits"] != before["logits"]
             status, health, _ = _get(server.url + "/healthz")
             assert health["fleet"]["swaps"] == 2  # initial deploy + reload
+
+    def test_reload_never_splits_a_request(self, tmp_path, data, artifact,
+                                           artifact_b):
+        """Reloads racing 64-row requests: every response is scored whole
+        by the version it reports, never partly by the old primary."""
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish(artifact, version="a")
+        registry.publish(artifact_b, version="b")
+        test = dataset_rows(data.splits["test"])
+        rows = [test[i % len(test)] for i in range(64)]
+        body = {"rows": [{"categorical": c.tolist(),
+                          "sequences": s.tolist(),
+                          "mask": m.tolist()} for c, s, m in rows]}
+        batch = rows_to_batch(data.schema, body["rows"])
+        offline = {v: InferenceSession.load(registry.path(v)).score_batch(
+            batch) for v in "ab"}
+        assert not np.array_equal(offline["a"], offline["b"])
+        responses = []
+        stop = threading.Event()
+        with ScoringServer(InferenceSession.load(registry.path("a")),
+                           version="a", model_registry=registry,
+                           max_wait_ms=1.0) as server:
+            def pound():
+                while not stop.is_set():
+                    status, payload, _ = _post(server.url + "/score", body)
+                    responses.append((status, payload))
+
+            threads = [threading.Thread(target=pound) for _ in range(3)]
+            for t in threads:
+                t.start()
+            try:
+                for version in "bababababa":
+                    time.sleep(0.03)
+                    status, swap, _ = _post(server.url + "/admin/reload",
+                                            {"version": version})
+                    assert status == 200 and swap["new_version"] == version
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(responses) > 10
+        for status, payload in responses:
+            assert status == 200
+            np.testing.assert_array_equal(
+                payload["logits"], offline[payload["model_version"]])
 
     def test_admin_reload_by_registry_version(self, tmp_path, data, session,
                                               artifact, artifact_b):

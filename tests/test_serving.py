@@ -4,8 +4,13 @@ generator.  The headline property is golden parity: serving logits are
 bit-identical to offline evaluation regardless of batch split or cache state.
 """
 
+import http.client
+import http.server
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -20,7 +25,9 @@ from repro.nn.serialization import load_checkpoint, save_checkpoint
 from repro.obs import JsonlTraceWriter, MetricRegistry, SpanRecorder, Tracer
 from repro.serving import (
     PARITY_BLOCK,
+    AdmissionController,
     ArtifactError,
+    CircuitBreaker,
     EngineClosedError,
     InferenceSession,
     LRUCache,
@@ -240,6 +247,118 @@ class TestSessionAndRows:
         described = json.loads(json.dumps(session.describe()))
         assert described["model"] == "DIN"
         assert described["block_size"] == PARITY_BLOCK
+
+
+def _numpy_error(value, **kwargs) -> str:
+    """The message numpy raises converting ``value`` on its own."""
+    with pytest.raises((TypeError, ValueError)) as excinfo:
+        np.asarray(value, **kwargs)
+    return str(excinfo.value)
+
+
+def _conversion_error(k: int, detail: str) -> str:
+    return (f"row {k}: expected keys categorical/sequences/mask with "
+            f"integer content ({detail})")
+
+
+def _malformed(schema, kind: str, row: dict, k: int) -> tuple[dict, str]:
+    """(row broken one way, the exact error text naming row ``k``)."""
+    bad = json.loads(json.dumps(row))
+    t = schema.max_seq_len
+    if kind == "ragged_sequences":
+        bad["sequences"][1] = bad["sequences"][1][:-1]
+        return bad, _conversion_error(
+            k, _numpy_error(bad["sequences"], dtype=np.int64))
+    if kind == "short_categorical":
+        bad["categorical"] = bad["categorical"][:-1]
+        n = schema.num_categorical
+        return bad, (f"row {k}: categorical has shape ({n - 1},), schema "
+                     f"{schema.name!r} needs ({n},)")
+    if kind == "long_categorical":
+        bad["categorical"] = bad["categorical"] + [0]
+        n = schema.num_categorical
+        return bad, (f"row {k}: categorical has shape ({n + 1},), schema "
+                     f"{schema.name!r} needs ({n},)")
+    if kind == "short_mask":
+        bad["mask"] = bad["mask"][1:]
+        return bad, (f"row {k}: mask has shape ({t - 1},), schema "
+                     f"{schema.name!r} needs ({t},)")
+    if kind.startswith(("missing_", "text_")):
+        action, field = kind.split("_", 1)
+        if action == "missing":
+            del bad[field]
+            return bad, _conversion_error(k, str(KeyError(field)))
+        if field == "sequences":
+            bad["sequences"][0][-1] = "many"
+        else:
+            bad["categorical"][0] = "many"
+        return bad, _conversion_error(
+            k, _numpy_error(bad[field], dtype=np.int64))
+    kind, col, sign = kind.split(":")
+    col = int(col)
+    if kind == "cat_vocab":
+        spec = schema.categorical[col]
+        bad_id = spec.vocab_size if sign == "high" else -1
+        bad["categorical"][col] = bad_id
+        return bad, (f"row {k}: categorical field {spec.name!r} id {bad_id} "
+                     f"outside vocab [0, {spec.vocab_size})")
+    spec = schema.sequential[col]
+    bad["sequences"][col][-1] = spec.vocab_size if sign == "high" else -1
+    return bad, (f"row {k}: sequential field {spec.name!r} contains ids "
+                 f"outside vocab [0, {spec.vocab_size})")
+
+
+_MALFORMED = (["ragged_sequences", "short_categorical", "long_categorical",
+               "short_mask", "missing_categorical", "missing_sequences",
+               "missing_mask", "text_categorical", "text_sequences"]
+              + [f"cat_vocab:{c}:{s}" for c in range(3) for s in ("high", "low")]
+              + [f"seq_vocab:{c}:{s}" for c in range(2) for s in ("high", "low")])
+
+
+class TestRowsToBatchParity:
+    """All rows are validated column-wise at once; a failure must still
+    name the first bad row and field exactly as a row-by-row check does,
+    and a valid request must assemble exactly as its rows one at a time."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("kind", _MALFORMED)
+    def test_first_bad_row_named_exactly(self, data, kind, k):
+        rows = _row_dicts(data.test, range(8))
+        bad, expected = _malformed(data.schema, kind, rows[k], k)
+        rows[k] = bad
+        # A later bad row must not steal the report.
+        rows[k + 1] = _malformed(data.schema, "short_categorical",
+                                 rows[k + 1], k + 1)[0]
+        with pytest.raises(ValueError) as excinfo:
+            rows_to_batch(data.schema, rows)
+        assert str(excinfo.value) == expected
+
+    def test_non_mapping_row_named(self, data):
+        rows = _row_dicts(data.test, range(4))
+        rows[2] = [1, 2, 3]
+        with pytest.raises(ValueError, match="^row 2: expected keys"):
+            rows_to_batch(data.schema, rows)
+
+    @pytest.mark.parametrize("mask_style", ["bool", "int", "float", "text",
+                                            "mixed"])
+    def test_valid_batch_equals_rows_one_at_a_time(self, data, mask_style):
+        rows = _row_dicts(data.test, range(12))
+        for r, row in enumerate(rows):
+            style = (["bool", "int", "float", "text"][r % 4]
+                     if mask_style == "mixed" else mask_style)
+            row["mask"] = {"bool": row["mask"],
+                           "int": [int(m) for m in row["mask"]],
+                           "float": [float(m) for m in row["mask"]],
+                           "text": ["y" if m else "" for m in row["mask"]],
+                           }[style]
+        whole = rows_to_batch(data.schema, rows)
+        singles = [rows_to_batch(data.schema, [row]) for row in rows]
+        for field in ("categorical", "sequences", "mask", "labels"):
+            expected = np.concatenate([getattr(b, field) for b in singles])
+            got = getattr(whole, field)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(whole.mask, data.test.mask[:12])
 
 
 class TestCheckpointErrors:
@@ -616,6 +735,131 @@ class TestHTTPServer:
         server.close(drain=True)
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             _get(server.url + "/healthz")
+
+
+class _WriteLog:
+    """A handler's ``wfile`` that records every write it passes on."""
+
+    def __init__(self, wfile, writes: list):
+        self._wfile = wfile
+        self.writes = writes
+
+    def write(self, data) -> int:
+        self.writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+@pytest.fixture
+def socket_writes(monkeypatch):
+    """One list of writes per accepted connection, in accept order."""
+    connections: list[list[bytes]] = []
+    setup = http.server.BaseHTTPRequestHandler.setup
+
+    def logged_setup(handler):
+        setup(handler)
+        connections.append([])
+        handler.wfile = _WriteLog(handler.wfile, connections[-1])
+
+    monkeypatch.setattr(http.server.BaseHTTPRequestHandler, "setup",
+                        logged_setup)
+    return connections
+
+
+def _exchange(server, request: bytes) -> bytes:
+    """Send raw request bytes on a fresh connection; return the reply."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _http(method: str, path: str, body: bytes | None = None,
+          content_length: int | None = None) -> bytes:
+    lines = [f"{method} {path} HTTP/1.1", "Host: test",
+             "Connection: close"]
+    if content_length is None and body is not None:
+        content_length = len(body)
+    if content_length is not None:
+        lines.append(f"Content-Length: {content_length}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + (body or b"")
+
+
+@pytest.mark.serving
+class TestOneWriteReplies:
+    """Status line, headers and body of every reply leave in one write, so
+    Nagle's algorithm never holds a body back behind a delayed ACK."""
+
+    CASES = {
+        "score_200": 200, "score_400": 400, "score_404": 404,
+        "score_411": 411, "score_413": 413, "score_429": 429,
+        "score_503": 503, "metrics_text": 200, "healthz": 200,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reply_is_one_write(self, data, session, socket_writes, case):
+        body = json.dumps({"rows": _row_dicts(data.test, [0, 1, 2])}
+                          ).encode()
+        breaker = CircuitBreaker(failure_threshold=0.5, min_requests=2,
+                                 window_s=60.0, cooldown_s=60.0)
+        with ScoringServer(session, port=0, max_wait_ms=1.0,
+                           admission=AdmissionController(2),
+                           breaker=breaker) as server:
+            if case == "score_503":
+                breaker.record(False)
+                breaker.record(False)
+            request = {
+                "score_200": _http("POST", "/score",
+                                   json.dumps(_row_dicts(data.test, [0])[0])
+                                   .encode()),
+                "score_400": _http("POST", "/score", b"{not json"),
+                "score_404": _http("POST", "/nope", b"{}"),
+                "score_411": _http("POST", "/score"),
+                "score_413": _http("POST", "/score",
+                                   content_length=1 << 30),
+                "score_429": _http("POST", "/score", body),
+                "score_503": _http("POST", "/score", body),
+                "metrics_text": _http("GET", "/metrics"),
+                "healthz": _http("GET", "/healthz"),
+            }[case]
+            reply = _exchange(server, request)
+        status = int(reply.split(b" ", 2)[1])
+        assert status == self.CASES[case]
+        if status in (429, 503):
+            assert b"\r\nRetry-After: " in reply
+        head, _, content = reply.partition(b"\r\n\r\n")
+        assert f"Content-Length: {len(content)}".encode() in head
+        assert socket_writes[-1] == [reply]
+
+    @pytest.mark.slow
+    def test_keep_alive_latency_has_no_delayed_ack_stall(self, data,
+                                                         session):
+        # Two writes per reply stall each keep-alive reply behind the
+        # client's delayed ACK (40 ms on Linux); one write cannot.
+        indices = [i % len(data.test) for i in range(64)]
+        body = json.dumps({"rows": _row_dicts(data.test, indices)}).encode()
+        with ScoringServer(session, port=0, cache_size=0) as server:
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=10)
+            latencies = []
+            try:
+                for _ in range(50):
+                    start = time.perf_counter()
+                    conn.request("POST", "/score", body=body,
+                                 headers={"Content-Type":
+                                          "application/json"})
+                    response = conn.getresponse()
+                    response.read()
+                    latencies.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        assert statistics.median(latencies) < 0.030
 
 
 @pytest.mark.slow
