@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..nn import MLP, Tensor, kernels, use_backend
+from ..core.losses import info_nce
+from ..nn import MLP, Tensor, get_backend, kernels, use_backend
 from ..nn import functional as F
 from ..resilience.atomic import atomic_write_json
 
@@ -27,7 +28,7 @@ __all__ = ["KERNEL_NAMES", "run_micro", "render_report"]
 
 #: Kernel benchmarks, in report order.
 KERNEL_NAMES = ("mie_mimfe_conv", "embedding_backward", "fused_mlp",
-                "l2_normalize")
+                "l2_normalize", "info_nce")
 
 
 def _best_ms(fn: Callable[[], None], repeats: int) -> float:
@@ -112,11 +113,42 @@ def _bench_l2norm(rng: np.random.Generator) -> tuple[Callable[[], None], str]:
     return run, f"x=({batch},{dim}) fwd+bwd"
 
 
+def _bench_info_nce(rng: np.random.Generator
+                    ) -> tuple[Callable[[], None], str]:
+    # One MISS view family (Eq. 15/16): P pairs of (B, D) encoded views with
+    # their false-negative masks.  The fused backend takes the stacked
+    # (P, B, D) views as one node; the reference side times the per-pair
+    # calls MISS makes on that backend, so slicing a stacked leaf (which
+    # MISS never does there) is not charged to it.
+    pairs, batch, dim = 8, 128, 20
+    x1 = Tensor(rng.normal(size=(pairs, batch, dim)), requires_grad=True)
+    x2 = Tensor(rng.normal(size=(pairs, batch, dim)), requires_grad=True)
+    masks = rng.random((pairs, batch, batch)) < 0.05
+    per_pair = [(Tensor(x1.data[p], requires_grad=True),
+                 Tensor(x2.data[p], requires_grad=True))
+                for p in range(pairs)]
+
+    def run() -> None:
+        if get_backend().fuses_infonce:
+            x1.grad = x2.grad = None
+            info_nce(x1, x2, 0.1, masks).backward()
+            return
+        loss = None
+        for p, (v1, v2) in enumerate(per_pair):
+            v1.grad = v2.grad = None
+            term = info_nce(v1, v2, 0.1, masks[p])
+            loss = term if loss is None else loss + term
+        (loss * (1.0 / pairs)).backward()
+
+    return run, f"P={pairs} B={batch} D={dim} masked fwd+bwd"
+
+
 _BENCH_BUILDERS = {
     "mie_mimfe_conv": _bench_conv,
     "embedding_backward": _bench_embedding,
     "fused_mlp": _bench_mlp,
     "l2_normalize": _bench_l2norm,
+    "info_nce": _bench_info_nce,
 }
 
 

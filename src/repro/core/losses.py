@@ -9,54 +9,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor
-from ..nn.functional import l2_normalize
+from ..nn import Tensor, kernels
+from ..nn.functional import _EPS
 
 __all__ = ["info_nce"]
 
 
 def info_nce(view1: Tensor, view2: Tensor, temperature: float,
              false_negatives: np.ndarray | None = None) -> Tensor:
-    """Mean InfoNCE loss over the batch.
+    """Mean InfoNCE loss over the batch (and over the pairs, if stacked).
 
     Args:
-        view1: ``(B, D)`` encoded first views.
-        view2: ``(B, D)`` encoded second views.
+        view1: ``(B, D)`` encoded first views, or ``(P, B, D)`` for ``P``
+            view pairs of the same batch.
+        view2: Encoded second views, same shape as ``view1``.
         temperature: The softmax temperature τ (> 0).
-        false_negatives: Optional ``(B, B)`` boolean mask; ``[i, j]`` True
-            removes sample ``j``'s second view from sample ``i``'s negative
-            set.  Used by the feature-level loss, where low-cardinality
-            fields (a handful of category ids) make id-identical "negatives"
-            frequent — repelling those would scramle the small embedding
-            table (the SupCon de-duplication fix).  The diagonal (the
-            positive) is always kept.
+        false_negatives: Optional ``(B, B)`` (or ``(P, B, B)``) boolean
+            mask; ``[i, j]`` True removes sample ``j``'s second view from
+            sample ``i``'s negative set.  Both MISS losses pass one: the
+            interest-level mask drops id-identical behaviour windows, and
+            the feature-level mask matters most, because low-cardinality
+            fields (a handful of category ids) make id-identical
+            "negatives" frequent — repelling those would scramble the small
+            embedding table (the SupCon de-duplication fix).  The diagonal
+            (the positive) is always kept.
 
     Returns:
         Scalar tensor; lower is better, bounded below by 0 as the positive
-        pair dominates all in-batch negatives.
+        pair dominates all in-batch negatives.  Stacked pairs give the mean
+        of the ``P`` pair losses.
     """
     if view1.shape != view2.shape:
         raise ValueError(f"view shapes differ: {view1.shape} vs {view2.shape}")
-    if view1.ndim != 2:
-        raise ValueError(f"expected (B, D) views, got {view1.shape}")
+    if view1.ndim not in (2, 3):
+        raise ValueError(f"expected (B, D) or (P, B, D) views, got {view1.shape}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
 
-    z1 = l2_normalize(view1, axis=-1)
-    z2 = l2_normalize(view2, axis=-1)
-    logits = (z1 @ z2.swapaxes(0, 1)) * (1.0 / temperature)  # (B, B)
+    drop = None
     if false_negatives is not None:
-        batch = view1.shape[0]
-        if false_negatives.shape != (batch, batch):
-            raise ValueError("false_negatives mask must be (B, B)")
+        batch = view1.shape[-2]
+        if false_negatives.shape != view1.shape[:-1] + (batch,):
+            raise ValueError("false_negatives mask must be (B, B), "
+                             "or (P, B, B) for stacked views")
         drop = np.array(false_negatives, dtype=bool)
-        np.fill_diagonal(drop, False)  # never drop the positive
-        logits = logits + Tensor(np.where(drop, -1e9, 0.0))
-    # log-sum-exp over each row, numerically stabilised.
-    shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
-    log_denominator = (shifted.exp().sum(axis=1, keepdims=True)).log() \
-        + Tensor(logits.data.max(axis=1, keepdims=True))
-    batch = view1.shape[0]
-    index = np.arange(batch)
-    diagonal = logits[index, index]
-    return (log_denominator.squeeze(-1) - diagonal).mean()
+        index = np.arange(batch)
+        drop[..., index, index] = False  # never drop the positive
+    return kernels.info_nce(view1, view2, temperature, drop, _EPS)

@@ -37,6 +37,10 @@ from .losses import info_nce
 
 __all__ = ["MISSModule"]
 
+#: Encoded view pairs of one family: one stacked ``(P, B, D)`` pair, or a
+#: list of ``P`` separate ``(B, D)`` pairs (the reference per-pair path).
+EncodedViews = tuple[Tensor, Tensor] | list[tuple[Tensor, Tensor]]
+
 
 def _id_blocks(sequences: np.ndarray, row_start: int, height: int,
                positions: np.ndarray, width: int) -> np.ndarray:
@@ -46,39 +50,35 @@ def _id_blocks(sequences: np.ndarray, row_start: int, height: int,
     rows ``[row_start, row_start+height)`` and time columns
     ``[position, position+width)`` for each sample.
     """
-    batch = sequences.shape[0]
-    cols = positions[:, None] + np.arange(width)[None, :]
-    rows = np.arange(row_start, row_start + height)
-    block = sequences[np.arange(batch)[:, None, None],
-                      rows[None, :, None], cols[:, None, :]]
-    return block.reshape(batch, -1)
+    batch, fields, length = sequences.shape
+    offsets = (np.arange(row_start, row_start + height)[:, None] * length
+               + np.arange(width)[None, :]).ravel()
+    starts = np.arange(batch) * (fields * length) + positions
+    return sequences.reshape(-1)[starts[:, None] + offsets[None, :]]
 
 
-def _collisions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(B, B)`` mask: ``[i, j]`` True iff ``a[i]`` equals ``b[j]``."""
-    return (a[:, None, :] == b[None, :, :]).all(axis=2)
+def _encode_stacked(encode, views: list[Tensor]) -> Tensor:
+    """``encode`` the ``P`` views ``(B, ·)`` in one forward, as ``(P, B, D)``."""
+    out = encode(concatenate(views, axis=0))
+    return out.reshape(len(views), views[0].shape[0], out.shape[-1])
 
 
-def _split_rows(z: Tensor, count: int) -> list[Tensor]:
-    """Split ``z`` into ``count`` equal row blocks (inverse of concatenate).
+def _false_negatives(block1: np.ndarray, block2: np.ndarray) -> np.ndarray:
+    """``(B, B)`` mask: ``[i, j]`` True iff ``block2[j]`` equals ``block2[i]``
+    or ``block1[i]``.
 
-    Cheaper than ``__getitem__`` for partitioning: each block's backward
-    writes straight into the matching rows of ``z.grad`` instead of scattering
-    through a freshly allocated full-size buffer per block.
+    The ``2B`` integer id windows are interned by one ``np.unique`` over
+    their rows viewed as opaque byte strings, then compared as ids:
+    ``O(B·w·log B + B²)`` instead of a ``(B, B, w)`` broadcast compare.
     """
-    size = z.shape[0] // count
-    parts = []
-    for i in range(count):
-        start, stop = i * size, (i + 1) * size
-        part_data = z.data[start:stop]
-
-        def backward(grad: np.ndarray, start: int = start, stop: int = stop) -> None:
-            if z.grad is None:
-                z.grad = np.zeros_like(z.data)
-            z.grad[start:stop] += grad
-
-        parts.append(Tensor._make(part_data, (z,), "split_rows", backward))
-    return parts
+    batch = block1.shape[0]
+    rows = np.concatenate([block1, block2])  # fresh and C-contiguous
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    ids = np.unique(keys.ravel(), return_inverse=True)[1].reshape(-1)
+    ids = ids.astype(np.min_scalar_type(2 * batch))  # narrower compares
+    first, second = ids[:batch], ids[batch:]
+    return ((second[:, None] == second[None, :])
+            | (first[:, None] == second[None, :]))
 
 
 class MISSModule(Module):
@@ -147,86 +147,92 @@ class MISSModule(Module):
     # ------------------------------------------------------------------
     # False-negative masks
     # ------------------------------------------------------------------
-    def _interest_false_negatives(self, sample: InterestViewSample,
+    def _interest_false_negatives(self, samples: list[InterestViewSample],
                                   sequences: np.ndarray | None
                                   ) -> np.ndarray | None:
+        """``(P, B, B)`` masks of id-identical interest windows, or None."""
         if sequences is None or not self.config.dedup_false_negatives:
             return None
         num_fields = sequences.shape[1]
-        block1 = _id_blocks(sequences, 0, num_fields, sample.left, sample.width)
-        block2 = _id_blocks(sequences, 0, num_fields, sample.right, sample.width)
-        return _collisions(block2, block2) | _collisions(block1, block2)
+        return np.stack([_false_negatives(
+            _id_blocks(sequences, 0, num_fields, s.left, s.width),
+            _id_blocks(sequences, 0, num_fields, s.right, s.width))
+            for s in samples])
 
-    def _feature_false_negatives(self, sample: FeatureViewSample,
+    def _feature_false_negatives(self, samples: list[FeatureViewSample],
                                  sequences: np.ndarray | None
                                  ) -> np.ndarray | None:
+        """``(P, B, B)`` masks of id-identical feature windows, or None."""
         if sequences is None or not self.config.dedup_false_negatives:
             return None
-        block1 = _id_blocks(sequences, sample.row1, sample.height,
-                            sample.positions, sample.width)
-        block2 = _id_blocks(sequences, sample.row2, sample.height,
-                            sample.positions, sample.width)
-        return _collisions(block2, block2) | _collisions(block1, block2)
+        return np.stack([_false_negatives(
+            _id_blocks(sequences, s.row1, s.height, s.positions, s.width),
+            _id_blocks(sequences, s.row2, s.height, s.positions, s.width))
+            for s in samples])
 
     # ------------------------------------------------------------------
-    # View encoding (optionally batched across pairs)
+    # View encoding (optionally stacked across pairs)
     # ------------------------------------------------------------------
     def _encode_interest_views(self, samples: list[InterestViewSample]
-                               ) -> list[tuple[Tensor, Tensor]]:
+                               ) -> EncodedViews:
         """Encode every interest view pair with the shared encoder.
 
-        Under a backend that batches SSL views, all ``2·P`` views go through
-        the encoder as one ``(2·P·B, J·K)`` forward (the encoder is a plain
-        per-row MLP, so this is mathematically identical) and are split back
-        afterwards.  Kept per-pair on the reference backend to preserve the
-        seed's exact floating-point reduction order.
+        Under a backend that batches SSL views, all first views go through
+        the encoder as one ``(P·B, J·K)`` forward and all second views as
+        another (the encoder is a plain per-row MLP, so this is
+        mathematically identical), giving one stacked ``(P, B, D)`` pair.
+        Kept per-pair on the reference backend to preserve the seed's exact
+        floating-point reduction order.
         """
         encoder = self.interest_encoder
         if not (get_backend().batches_ssl_views and type(encoder) is ViewEncoder):
             return [encoder.encode_pair(*sample.pair) for sample in samples]
-        views: list[Tensor] = []
-        for sample in samples:
-            views.extend(sample.pair)
-        encoded = encoder(concatenate(views, axis=0))
-        parts = _split_rows(encoded, len(views))
-        return [(parts[2 * i], parts[2 * i + 1]) for i in range(len(samples))]
+        return (_encode_stacked(encoder, [s.view1 for s in samples]),
+                _encode_stacked(encoder, [s.view2 for s in samples]))
 
     def _encode_feature_views(self, samples: list[FeatureViewSample]
-                              ) -> list[tuple[Tensor, Tensor]]:
-        """Same batching for the feature-level encoder.
+                              ) -> EncodedViews:
+        """Same stacking for the feature-level encoder.
 
         The field-aware encoder applies its per-field projections per view
-        (they are field-specific by design) and batches only the shared MLP.
+        (they are field-specific by design) and stacks only the shared MLP.
         """
         encoder = self.feature_encoder
+        field_aware = isinstance(encoder, FieldAwareViewEncoder)
         if not get_backend().batches_ssl_views:
-            pass
-        elif isinstance(encoder, FieldAwareViewEncoder):
-            projected: list[Tensor] = []
-            for sample in samples:
-                projected.append(encoder.projections[sample.row1](sample.view1))
-                projected.append(encoder.projections[sample.row2](sample.view2))
-            parts = _split_rows(encoder.shared(concatenate(projected, axis=0)),
-                                len(projected))
-            return [(parts[2 * i], parts[2 * i + 1]) for i in range(len(samples))]
-        elif type(encoder) is ViewEncoder:
-            views: list[Tensor] = []
-            for sample in samples:
-                views.extend((sample.view1, sample.view2))
-            parts = _split_rows(encoder(concatenate(views, axis=0)), len(views))
-            return [(parts[2 * i], parts[2 * i + 1]) for i in range(len(samples))]
-        out: list[tuple[Tensor, Tensor]] = []
-        for sample in samples:
-            if isinstance(encoder, FieldAwareViewEncoder):
-                out.append(encoder.encode_pair(sample.view1, sample.view2,
-                                               sample.row1, sample.row2))
-            else:
-                out.append(encoder.encode_pair(sample.view1, sample.view2))
-        return out
+            if field_aware:
+                return [encoder.encode_pair(s.view1, s.view2, s.row1, s.row2)
+                        for s in samples]
+            return [encoder.encode_pair(s.view1, s.view2) for s in samples]
+        if not field_aware:
+            return (_encode_stacked(encoder, [s.view1 for s in samples]),
+                    _encode_stacked(encoder, [s.view2 for s in samples]))
+        project = encoder.projections
+        first = [project[s.row1](s.view1) for s in samples]
+        second = [project[s.row2](s.view2) for s in samples]
+        return (_encode_stacked(encoder.shared, first),
+                _encode_stacked(encoder.shared, second))
 
     # ------------------------------------------------------------------
     # Losses
     # ------------------------------------------------------------------
+    def _contrast(self, encoded: EncodedViews,
+                  masks: np.ndarray | None) -> Tensor:
+        """Mean InfoNCE of one view family (Eq. 15 or 16) over its pairs.
+
+        A stacked ``(P, B, D)`` pair is one ``info_nce`` call; per-pair
+        views are summed in order and scaled by ``1/P``, as the seed did.
+        """
+        temperature = self.config.temperature
+        if isinstance(encoded, tuple):
+            return info_nce(*encoded, temperature, masks)
+        loss = None
+        for p, (z1, z2) in enumerate(encoded):
+            term = info_nce(z1, z2, temperature,
+                            None if masks is None else masks[p])
+            loss = term if loss is None else loss + term
+        return loss * (1.0 / len(encoded))
+
     def ssl_losses(self, c: Tensor, mask: np.ndarray | None = None,
                    sequences: np.ndarray | None = None
                    ) -> tuple[Tensor, Tensor]:
@@ -251,13 +257,9 @@ class MISSModule(Module):
                                             mask=mask, seq_len=seq_len,
                                             distribution=cfg.distance_distribution)
         with phase("model.ssl.infonce"):
-            interest_loss = None
-            for sample, (z1, z2) in zip(samples,
-                                        self._encode_interest_views(samples)):
-                term = info_nce(z1, z2, cfg.temperature,
-                                self._interest_false_negatives(sample, sequences))
-                interest_loss = term if interest_loss is None else interest_loss + term
-            interest_loss = interest_loss * (1.0 / len(samples))
+            interest_loss = self._contrast(
+                self._encode_interest_views(samples),
+                self._interest_false_negatives(samples, sequences))
 
         if self.fine_extractor is None:
             return interest_loss, Tensor(0.0)
@@ -269,13 +271,9 @@ class MISSModule(Module):
                 fine_maps, cfg.num_feature_pairs, self._rng, mask=mask,
                 seq_len=seq_len, num_fields=c.shape[1])
         with phase("model.ssl.infonce"):
-            feature_loss = None
-            for sample, (z1, z2) in zip(fine_samples,
-                                        self._encode_feature_views(fine_samples)):
-                term = info_nce(z1, z2, cfg.temperature,
-                                self._feature_false_negatives(sample, sequences))
-                feature_loss = term if feature_loss is None else feature_loss + term
-            feature_loss = feature_loss * (1.0 / len(fine_samples))
+            feature_loss = self._contrast(
+                self._encode_feature_views(fine_samples),
+                self._feature_false_negatives(fine_samples, sequences))
         return interest_loss, feature_loss
 
     def forward(self, c: Tensor, mask: np.ndarray | None = None,

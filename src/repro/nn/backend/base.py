@@ -45,6 +45,7 @@ class ArrayOps:
     fuses_embedding = False     # embedding backward scatter
     fuses_linear = False        # linear (+bias) (+relu) forward/backward
     fuses_l2norm = False        # InfoNCE L2 normalisation
+    fuses_infonce = False       # stacked InfoNCE as one graph node
     pools_gradients = False     # in-place grad accumulation + buffer pool
     batches_ssl_views = False   # MISS: encode all SSL views in one forward
 
@@ -109,6 +110,23 @@ class ArrayOps:
                               norm: np.ndarray, axis: int,
                               eps: float) -> np.ndarray:
         """``dL/dx`` of :meth:`l2_normalize`."""
+        raise NotImplementedError
+
+    def info_nce(self, z1: np.ndarray, z2: np.ndarray,
+                 drop: np.ndarray | None,
+                 temperature: float) -> tuple[float, np.ndarray]:
+        """Mean InfoNCE of unit ``(P, B, D)`` views and its row softmax.
+
+        ``drop`` is a ``(P, B, B)`` boolean mask of logits to exclude (its
+        diagonal is already False).  Returns ``(loss, softmax)``; the
+        softmax is what :meth:`info_nce_backward` needs.
+        """
+        raise NotImplementedError
+
+    def info_nce_backward(self, grad: float, softmax: np.ndarray,
+                          z1: np.ndarray, z2: np.ndarray,
+                          temperature: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(dL/dz1, dL/dz2)`` of :meth:`info_nce` (unit views)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

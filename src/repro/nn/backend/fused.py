@@ -1,6 +1,6 @@
 """The fused backend: optimized kernels for the profiled hot paths.
 
-Four kernel families replace the reference compositions:
+Five kernel families replace the reference compositions:
 
 * **Windowed convolutions** (MIE horizontal / MIMFE vertical): the per-offset
   Python loop of scaled slices becomes one ``sliding_window_view`` plus a
@@ -12,6 +12,10 @@ Four kernel families replace the reference compositions:
 * **Fused linear**: ``relu(x @ w + b)`` runs as one node with in-place bias
   add and ReLU; the backward collapses rank-N inputs to a single pair of
   GEMMs instead of a batched matmul followed by an axis reduction.
+* **Stacked InfoNCE** (Eq. 15/16): all ``P`` view pairs of a family in one
+  node — L2 normalisation, ``P`` batched ``B×B`` GEMMs and a masked
+  log-sum-exp forward; the backward is the closed-form
+  ``(softmax − I)/(P·B·τ)`` pushed through the normalisation.
 * **Gradient buffers**: first-accumulation allocates from a small per-shape
   buffer pool (``memcpy`` into a recycled buffer instead of
   ``zeros_like`` + add), subsequent accumulations are in-place ``np.add``;
@@ -89,6 +93,7 @@ class FusedOps(ArrayOps):
     fuses_embedding = True
     fuses_linear = True
     fuses_l2norm = True
+    fuses_infonce = True
     pools_gradients = True
     batches_ssl_views = True
 
@@ -207,3 +212,34 @@ class FusedOps(ArrayOps):
         dot = np.sum(grad * x, axis=axis, keepdims=True)
         safe = np.maximum(norm, 1e-12)
         return grad / scale - x * (dot / (scale * scale * safe))
+
+    # ------------------------------------------------------------------
+    # Stacked InfoNCE: batched GEMMs + masked log-sum-exp, closed-form bwd
+    # ------------------------------------------------------------------
+    def info_nce(self, z1: np.ndarray, z2: np.ndarray,
+                 drop: np.ndarray | None,
+                 temperature: float) -> tuple[float, np.ndarray]:
+        logits = np.matmul(z1, z2.swapaxes(-1, -2))
+        logits *= 1.0 / temperature
+        diagonal = np.diagonal(logits, axis1=-2, axis2=-1).copy()
+        if drop is not None:
+            # exp(-inf) == 0 exactly, as exp(-1e9) is in the reference.
+            np.putmask(logits, drop, -np.inf)
+        peak = logits.max(axis=-1, keepdims=True)
+        logits -= peak
+        softmax = np.exp(logits, out=logits)
+        total = softmax.sum(axis=-1, keepdims=True)
+        softmax /= total
+        loss = np.mean(np.log(total[..., 0]) + peak[..., 0] - diagonal)
+        return float(loss), softmax
+
+    def info_nce_backward(self, grad: float, softmax: np.ndarray,
+                          z1: np.ndarray, z2: np.ndarray,
+                          temperature: float) -> tuple[np.ndarray, np.ndarray]:
+        count, batch = softmax.shape[0], softmax.shape[1]
+        scale = grad / (count * batch * temperature)
+        dlogits = softmax * scale
+        index = np.arange(batch)
+        dlogits[:, index, index] -= scale
+        return (np.matmul(dlogits, z2),
+                np.matmul(dlogits.swapaxes(-1, -2), z1))

@@ -13,9 +13,9 @@ Each function here is a *seam*: it consults the active
 
 Layers (:class:`~repro.nn.layers.Dense`,
 :class:`~repro.nn.layers.Embedding`, :mod:`repro.nn.conv`, the attention
-projections) and :func:`repro.nn.functional.l2_normalize` route through
-these functions, so adding a backend never requires touching the layer
-definitions again.
+projections), :func:`repro.nn.functional.l2_normalize` and
+:func:`repro.core.losses.info_nce` route through these functions, so adding
+a backend never requires touching the layer definitions again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 from .backend import get_backend
 from .tensor import Tensor
 
-__all__ = ["conv_window", "embedding_lookup", "linear_act", "l2_normalize"]
+__all__ = ["conv_window", "embedding_lookup", "linear_act", "l2_normalize",
+           "info_nce"]
 
 
 def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
@@ -143,3 +144,61 @@ def l2_normalize(x: Tensor, axis: int, eps: float) -> Tensor:
                                                 eps))
 
     return Tensor._make(out_data, (x,), "l2_normalize", backward)
+
+
+def _info_nce_pair(view1: Tensor, view2: Tensor, temperature: float,
+                   drop: np.ndarray | None, eps: float) -> Tensor:
+    """Reference InfoNCE of one ``(B, D)`` pair — the seed composition."""
+    z1 = l2_normalize(view1, -1, eps)
+    z2 = l2_normalize(view2, -1, eps)
+    logits = (z1 @ z2.swapaxes(0, 1)) * (1.0 / temperature)  # (B, B)
+    if drop is not None:
+        logits = logits + Tensor(np.where(drop, -1e9, 0.0))
+    # log-sum-exp over each row, numerically stabilised.
+    shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
+    log_denominator = (shifted.exp().sum(axis=1, keepdims=True)).log() \
+        + Tensor(logits.data.max(axis=1, keepdims=True))
+    index = np.arange(view1.shape[0])
+    diagonal = logits[index, index]
+    return (log_denominator.squeeze(-1) - diagonal).mean()
+
+
+def info_nce(view1: Tensor, view2: Tensor, temperature: float,
+             drop: np.ndarray | None, eps: float) -> Tensor:
+    """Mean InfoNCE over ``(B, D)`` or stacked ``(P, B, D)`` view pairs.
+
+    ``drop`` masks logits out of the denominators; it has the logits' shape
+    and a False diagonal.  Unfused, each pair is the seed composition and
+    the pair losses are summed in order, then scaled by ``1/P``.  Fused, it
+    is one node: normalise, ``P`` batched GEMMs, masked log-sum-exp.
+    """
+    ops = get_backend()
+    if not ops.fuses_infonce:
+        if view1.ndim == 2:
+            return _info_nce_pair(view1, view2, temperature, drop, eps)
+        loss: Tensor | None = None
+        for p in range(view1.shape[0]):
+            term = _info_nce_pair(view1[p], view2[p], temperature,
+                                  None if drop is None else drop[p], eps)
+            loss = term if loss is None else loss + term
+        return loss * (1.0 / view1.shape[0])
+
+    stacked = (-1,) + view1.shape[-2:]
+    x1, x2 = view1.data.reshape(stacked), view2.data.reshape(stacked)
+    z1, norm1 = ops.l2_normalize(x1, -1, eps)
+    z2, norm2 = ops.l2_normalize(x2, -1, eps)
+    if drop is not None:
+        drop = drop.reshape((-1,) + drop.shape[-2:])
+    loss, softmax = ops.info_nce(z1, z2, drop, temperature)
+
+    def backward(grad: np.ndarray) -> None:
+        g1, g2 = ops.info_nce_backward(float(grad), softmax, z1, z2,
+                                       temperature)
+        if view1.requires_grad:
+            view1._accumulate(ops.l2_normalize_backward(
+                g1, x1, norm1, -1, eps).reshape(view1.shape))
+        if view2.requires_grad:
+            view2._accumulate(ops.l2_normalize_backward(
+                g2, x2, norm2, -1, eps).reshape(view2.shape))
+
+    return Tensor._make(np.array(loss), (view1, view2), "info_nce", backward)

@@ -14,7 +14,7 @@ actual model."""
 import numpy as np
 import pytest
 
-from repro.core import MISSConfig, MISSModule
+from repro.core import MISSConfig, MISSModule, info_nce
 from repro.data.schema import DatasetSchema, FieldSpec
 from repro.nn import MLP, Dense, Embedding, Tensor, kernels, use_backend
 from repro.nn import functional as F
@@ -202,6 +202,82 @@ class TestL2Normalize:
             check_gradients(
                 lambda t: F.l2_normalize(t[0], axis=-1).sum(),
                 [rng.normal(size=(4, 5))])
+
+
+class TestInfoNCE:
+    """The stacked ``(P, B, D)`` InfoNCE: one fused node against the
+    reference per-pair composition (mean over pairs)."""
+
+    TEMPERATURE = 0.1
+
+    @staticmethod
+    def _mask(kind, pairs, batch, rng):
+        if kind == "none":
+            return None
+        mask = rng.random((pairs, batch, batch)) < 0.2
+        if kind == "full_row":
+            mask[:, 0, :] = True  # every negative of row 0 dropped
+        return mask
+
+    @pytest.mark.parametrize("mask_kind", ["none", "random", "full_row"])
+    @pytest.mark.parametrize("dim", [10, 20])
+    @pytest.mark.parametrize("batch", [1, 2, 88, 128])
+    @pytest.mark.parametrize("pairs", [1, 3, 8])
+    def test_matches_reference(self, pairs, batch, dim, mask_kind):
+        rng = np.random.default_rng(pairs * 1000 + batch * 10 + dim)
+        x1 = rng.normal(size=(pairs, batch, dim))
+        x2 = rng.normal(size=(pairs, batch, dim))
+        mask = self._mask(mask_kind, pairs, batch, rng)
+        _compare_backends(
+            lambda t: info_nce(t[0], t[1], self.TEMPERATURE, mask), [x1, x2])
+
+    @pytest.mark.parametrize("pairs,batch", [(1, 2), (3, 5)])
+    def test_near_zero_rows_match_the_sqrt_clamp(self, pairs, batch):
+        rng = np.random.default_rng(batch)
+        x1 = rng.normal(size=(pairs, batch, 4))
+        x2 = rng.normal(size=(pairs, batch, 4))
+        x1[0, 0] = [1e-9, -1e-9, 0.0, 0.0]
+        x2[-1, -1] = 0.0
+        _compare_backends(
+            lambda t: info_nce(t[0], t[1], self.TEMPERATURE), [x1, x2])
+
+    def test_same_tensor_as_both_views(self):
+        x = np.random.default_rng(8).normal(size=(3, 6, 5))
+        _compare_backends(
+            lambda t: info_nce(t[0], t[0], self.TEMPERATURE), [x])
+
+    def test_fused_records_one_node(self):
+        rng = np.random.default_rng(9)
+        views = [Tensor(rng.normal(size=(8, 16, 10)), requires_grad=True)
+                 for _ in range(2)]
+        with use_backend("fused"):
+            loss = info_nce(*views, self.TEMPERATURE,
+                            rng.random((8, 16, 16)) < 0.2)
+        assert loss._op == "info_nce"
+        assert loss._parents == tuple(views)
+
+    def test_stacked_reference_is_mean_of_pairs(self):
+        # The unfused stacked path is the per-pair composition, summed in
+        # pair order and scaled by 1/P — bit for bit.
+        rng = np.random.default_rng(10)
+        x1, x2 = rng.normal(size=(2, 4, 7, 5))
+        mask = rng.random((4, 7, 7)) < 0.3
+        with use_backend("reference"):
+            stacked = info_nce(Tensor(x1), Tensor(x2), self.TEMPERATURE, mask)
+            total = None
+            for p in range(4):
+                term = info_nce(Tensor(x1[p]), Tensor(x2[p]),
+                                self.TEMPERATURE, mask[p])
+                total = term if total is None else total + term
+        assert stacked.item() == (total * (1.0 / 4)).item()
+
+    def test_finite_difference_under_fused(self):
+        rng = np.random.default_rng(11)
+        mask = rng.random((2, 4, 4)) < 0.3
+        with use_backend("fused"):
+            check_gradients(
+                lambda t: info_nce(t[0], t[1], 0.5, mask),
+                [rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))])
 
 
 class TestMISSEndToEnd:

@@ -16,6 +16,7 @@ from repro.core import (
     sample_feature_pairs,
     sample_interest_pairs,
 )
+from repro.core.miss import _false_negatives, _id_blocks
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model
 from repro.nn import Tensor
@@ -212,6 +213,47 @@ class TestInfoNCE:
         z1 = Tensor(rng.normal(size=(batch_size, 6)))
         loss = info_nce(z1, z1, temperature)
         assert 0.0 <= loss.item() <= np.log(batch_size) + 1e-6
+
+
+def _broadcast_false_negatives(block1, block2):
+    """Oracle: the dense ``(B, B, w)`` compare the interned mask replaced."""
+    def collisions(a, b):
+        return (a[:, None, :] == b[None, :, :]).all(axis=2)
+    return collisions(block2, block2) | collisions(block1, block2)
+
+
+class TestFalseNegativeMask:
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 6), vocab=st.integers(2, 5),
+           batch=st.sampled_from([1, 2, 7, 88, 128]),
+           dtype=st.sampled_from([np.int32, np.int64]),
+           pad_frac=st.sampled_from([0.0, 0.3, 1.0]),
+           strided=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_broadcast_compare(self, width, vocab, batch, dtype,
+                                       pad_frac, strided, seed):
+        rng = np.random.default_rng(seed)
+        # Ids 0..vocab-1, so collisions are dense; 0 is the padding id and
+        # ``pad_frac`` of the windows are all padding.
+        block1, block2 = rng.integers(0, vocab, size=(2, batch, width))
+        for block in (block1, block2):
+            block[rng.random(batch) < pad_frac] = 0
+        block1, block2 = block1.astype(dtype), block2.astype(dtype)
+        if strided:  # non-contiguous windows must intern the same way
+            block1, block2 = block1[:, ::-1], block2[:, ::-1]
+        got = _false_negatives(block1, block2)
+        assert got.dtype == bool and got.shape == (batch, batch)
+        assert np.array_equal(got, _broadcast_false_negatives(block1, block2))
+
+    @pytest.mark.parametrize("row_start,height,width",
+                             [(0, 2, 1), (0, 2, 3), (1, 1, 2), (0, 1, 4)])
+    def test_id_blocks_gather_each_window(self, row_start, height, width):
+        sequences = RNG.integers(0, 50, size=(9, 2, 7))
+        positions = RNG.integers(0, 7 - width + 1, size=9)
+        got = _id_blocks(sequences, row_start, height, positions, width)
+        for i, pos in enumerate(positions):
+            window = sequences[i, row_start:row_start + height,
+                               pos:pos + width]
+            assert np.array_equal(got[i], window.ravel())
 
 
 class TestMISSModule:
