@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.optim import Optimizer, clip_grad_norm
+from ..nn.optim import Optimizer
+from ..training.trainer import apply_gradients
 from .shm import FlatLayout
 
 __all__ = ["pairwise_fold", "reduce_mean", "apply_update", "rank_rng",
@@ -59,16 +60,15 @@ def apply_update(optimizer: Optimizer, layout: FlatLayout,
 
     ``grad_parts`` are the per-rank flat gradient vectors (shared-memory
     slots in process mode, local copies in emulation).  The reduced mean is
-    scattered onto the parameters as gradient views, clipped, and stepped —
-    exactly the sequence ``Trainer._train_step`` runs after ``backward()``,
-    so a ``world_size=1`` reduction reproduces single-process training to
-    the bit.
+    scattered onto the parameters as gradient views, then clipped and
+    stepped by :func:`~repro.training.trainer.apply_gradients` — the same
+    update half every single-process loop runs after ``backward()``, so a
+    ``world_size=1`` reduction reproduces single-process training to the
+    bit.
     """
     reduced = reduce_mean(grad_parts)
     layout.scatter_grads(reduced, optimizer.parameters)
-    grad_norm = clip_grad_norm(optimizer.parameters, grad_clip)
-    optimizer.step()
-    return grad_norm
+    return apply_gradients(optimizer, grad_clip)
 
 
 def rank_rng(seed: int, rank: int) -> np.random.Generator:

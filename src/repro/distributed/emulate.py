@@ -32,10 +32,11 @@ from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
     partition_shards
 from ..obs import MetricRegistry
 from ..resilience import named_rng_states, restore_rng_states
-from ..training import TrainConfig, evaluate, improvement
+from ..training import TrainConfig, evaluate
+from ..training.trainer import RunState, compute_gradients
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
 from .shm import FlatLayout
-from .worker import DistSpec, build_model
+from .worker import DistSpec, build_model, run_record
 
 __all__ = ["run_emulated"]
 
@@ -83,8 +84,9 @@ def run_emulated(spec: DistSpec) -> dict:
     # micro-batches and evaluation/selection run under rank 0's.
     mod_states = [named_rng_states(model) for _ in range(world)]
     buf_states = [_buffer_state(model) for _ in range(world)]
+    rngs = [rank_rng(cfg.seed, r) for r in range(world)]
     loaders = [DataLoader(views[r], batch_size=cfg.batch_size, shuffle=True,
-                          rng=rank_rng(cfg.seed, r)) for r in range(world)]
+                          rng=rngs[r]) for r in range(world)]
     grad_parts = [np.empty(layout.size, dtype=np.float64)
                   for _ in range(world)]
 
@@ -94,19 +96,17 @@ def run_emulated(spec: DistSpec) -> dict:
     rows_counters = [registry.counter(f"dist.rank.{r}.rows")
                      for r in range(world)]
 
-    state = {
-        "epoch": 0, "step": 0, "best_auc": -np.inf, "best_state": None,
-        "best_epoch": -1, "bad_epochs": 0,
-    }
-    history, train_losses, step_losses, epoch_seconds = [], [], [], []
+    # The run's loop state follows virtual rank 0, as rank 0's does in
+    # process mode.
+    state = RunState(rngs[0])
+    step_losses, epoch_seconds = [], []
 
     model.train()
     run_start = time.perf_counter()
     while True:
-        epoch = state["epoch"]
+        state.begin_epoch()
         epoch_start = time.perf_counter()
         iters = [loader.iter_batches() for loader in loaders]
-        epoch_loss = 0.0
         for _ in range(steps):
             losses = []
             for r in range(world):
@@ -117,11 +117,8 @@ def run_emulated(spec: DistSpec) -> dict:
                 restore_rng_states(model, mod_states[r])
                 _restore_buffers(model, buf_states[r])
                 batch = next(iters[r])
-                for p in params:
-                    p.grad = None
-                loss = model.training_loss(batch)
-                losses.append(loss.item())
-                loss.backward()
+                losses.append(compute_gradients(model.training_loss, batch,
+                                                params))
                 layout.pack_grads(params, grad_parts[r])
                 mod_states[r] = named_rng_states(model)
                 buf_states[r] = _buffer_state(model)
@@ -129,48 +126,27 @@ def run_emulated(spec: DistSpec) -> dict:
                 rows_counters[r].inc(len(batch.labels))
             apply_update(optimizer, layout, grad_parts, cfg.grad_clip)
             mean_loss = reduce_mean(losses)
-            state["step"] += 1
-            epoch_loss += mean_loss
+            state.count_step(mean_loss)
             step_losses.append(float(mean_loss))
         epoch_seconds.append(time.perf_counter() - epoch_start)
 
-        train_losses.append(epoch_loss / max(steps, 1))
+        state.losses.append(state.epoch_loss / max(state.num_batches, 1))
         # Evaluation and selection are rank 0's in process mode, so they run
         # under rank 0's buffer view here (eval mode draws no RNG and reads
         # running stats without updating them).
         _restore_buffers(model, buf_states[0])
         result = evaluate(model, validation, batch_size=cfg.eval_batch_size)
-        history.append(result)
-        if improvement(result.auc, state["best_auc"]):
-            state["best_auc"] = result.auc
-            state["best_state"] = model.state_dict()
-            state["best_epoch"] = epoch
-            state["bad_epochs"] = 0
-        else:
-            state["bad_epochs"] += 1
-        state["epoch"] = epoch + 1
-        if epoch + 1 >= cfg.epochs or state["bad_epochs"] >= cfg.patience:
+        state.history.append(result)
+        state.select(model, result.auc)
+        state.advance()
+        if state.finished(cfg):
             break
 
-    if state["best_state"] is None:
-        raise RuntimeError(
-            "emulated training never produced a finite validation AUC "
-            f"({state['epoch']} epoch(s)); refusing to select final weights")
+    state.finish(model)
     return {
         "mode": "emulated",
-        "world_size": world,
-        "best_epoch": state["best_epoch"],
-        "epochs_run": state["epoch"],
-        "steps": state["step"],
-        "steps_per_epoch": steps,
-        "partition_rows": [int(r) for r in part_rows],
-        "history": [{"auc": float(r.auc), "logloss": float(r.logloss)}
-                    for r in history],
-        "train_losses": [float(v) for v in train_losses],
-        "step_losses": step_losses,
-        "epoch_seconds": [float(s) for s in epoch_seconds],
-        "wall_time_s": float(time.perf_counter() - run_start),
-        "completed": True,
-        "final_state": state["best_state"],
+        **run_record(state, world, steps, part_rows, step_losses,
+                     epoch_seconds, time.perf_counter() - run_start),
+        "final_state": state.best_state,
         "metrics": registry.snapshot(),
     }

@@ -17,8 +17,8 @@ with its peers through the :class:`~repro.distributed.shm.SharedArena`:
   ranks unpack the new parameters.  The optimizer therefore sees the mean
   gradient over ``world_size × batch_size`` rows — one global batch.
 * **per epoch** — rank 0 evaluates on the validation split, applies the
-  shared :func:`~repro.training.improvement` selection rule, and publishes
-  the stop decision through the control word.  Every rank writes its own
+  shared ``RunState.select`` selection rule, and publishes the stop
+  decision through the control word.  Every rank writes its own
   :class:`~repro.resilience.RunCheckpoint`; barrier C orders those files
   before rank 0 appends the commit record to ``dist-manifest.json`` — a
   commit only exists once every rank's checkpoint for that step exists.
@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from threading import BrokenBarrierError  # mp barriers raise this too
 
-import numpy as np
-
 from ..data.batching import DataLoader
 from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
     partition_shards
@@ -59,16 +57,10 @@ from ..obs import (
     ObserverList,
     RunStartEvent,
 )
-from ..resilience import (
-    CheckpointStore,
-    RunCheckpoint,
-    named_rng_states,
-    restore_rng_states,
-    rng_state,
-    set_rng_state,
-)
+from ..resilience import CheckpointStore
 from ..resilience.atomic import atomic_write_json, atomic_write_npz
-from ..training import TrainConfig, evaluate, improvement
+from ..training import TrainConfig, evaluate
+from ..training.trainer import RunState, compute_gradients
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
 from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, FlatLayout, SharedArena
 
@@ -79,11 +71,6 @@ __all__ = ["DistSpec", "build_model", "worker_main", "MANIFEST_NAME",
 #: checkpoints on disk (written atomically, after barrier C orders the files).
 MANIFEST_NAME = "dist-manifest.json"
 MANIFEST_KEEP = 8
-
-#: Placeholder optimizer state checkpointed by ranks != 0 (they never step;
-#: the one real optimizer lives on rank 0 and only its moments are restored).
-_NO_OPTIMIZER = {"kind": "none", "lr": 0.0, "weight_decay": 0.0, "arrays": {}}
-
 
 @dataclass(frozen=True)
 class DistSpec:
@@ -137,88 +124,6 @@ def _write_manifest(checkpoint_dir: Path, world_size: int,
         "world_size": world_size,
         "commits": commits[-MANIFEST_KEEP:],
     })
-
-
-class _RankState:
-    """Per-rank loop counters; rank 0 additionally tracks selection state."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.epoch = 0
-        self.batches_done = 0
-        self.epoch_rng_state = rng_state(rng)
-        self.step = 0
-        self.best_auc = -np.inf
-        self.best_state = None
-        self.best_epoch = -1
-        self.bad_epochs = 0
-        self.history = []            # rank 0 only: validation EvalResults
-        self.losses = []             # per-epoch mean reduced loss
-        self.epoch_loss = 0.0
-        self.num_batches = 0
-        self.epochs_run = 0
-        self.step_losses = []        # rank 0 only: every reduced step loss
-        self.completed = False
-
-
-def _capture(model, optimizer, state: _RankState, config: dict,
-             world_size: int) -> RunCheckpoint:
-    """A rank's commit payload — same schema the single-process Trainer
-    writes, so the resilience store validates it unchanged."""
-    return RunCheckpoint(
-        model_state=model.state_dict(),
-        optimizer_state=(optimizer.state_dict() if optimizer is not None
-                         else dict(_NO_OPTIMIZER)),
-        loader_rng_state=state.epoch_rng_state,
-        module_rng_states=named_rng_states(model),
-        epoch=state.epoch,
-        batches_done=state.batches_done,
-        step=state.step,
-        best_auc=float(state.best_auc),
-        best_epoch=state.best_epoch,
-        bad_epochs=state.bad_epochs,
-        best_state=({k: v.copy() for k, v in state.best_state.items()}
-                    if state.best_state is not None else None),
-        history=[{"auc": float(r.auc), "logloss": float(r.logloss)}
-                 for r in state.history],
-        train_losses=list(state.losses),
-        epoch_loss=state.epoch_loss,
-        num_batches=state.num_batches,
-        component_sums={},
-        epochs_run=state.epochs_run,
-        anomaly_retries=0,
-        config={**config, "world_size": world_size},
-        completed=state.completed,
-    )
-
-
-def _restore(ckpt: RunCheckpoint, model, optimizer, state: _RankState,
-             step_losses: list[float] | None) -> None:
-    model.load_state_dict(ckpt.model_state)
-    if optimizer is not None:
-        optimizer.load_state_dict(ckpt.optimizer_state)
-    restore_rng_states(model, ckpt.module_rng_states)
-    set_rng_state(state.rng, ckpt.loader_rng_state)
-    state.epoch_rng_state = ckpt.loader_rng_state
-    state.epoch = ckpt.epoch
-    state.batches_done = ckpt.batches_done
-    state.step = ckpt.step
-    state.best_auc = ckpt.best_auc
-    state.best_epoch = ckpt.best_epoch
-    state.bad_epochs = ckpt.bad_epochs
-    state.best_state = ({k: v.copy() for k, v in ckpt.best_state.items()}
-                        if ckpt.best_state is not None else None)
-    from ..training.metrics import EvalResult
-    state.history = [EvalResult(auc=row["auc"], logloss=row["logloss"])
-                     for row in ckpt.history]
-    state.losses = list(ckpt.train_losses)
-    state.epoch_loss = ckpt.epoch_loss
-    state.num_batches = ckpt.num_batches
-    state.epochs_run = ckpt.epochs_run
-    # Reduced per-step losses live in the manifest commit, not the
-    # checkpoint (RunCheckpoint has no such field); JSON float64 round-trips
-    # exactly, so the resumed trajectory concatenates bit-identically.
-    state.step_losses = list(step_losses) if step_losses is not None else []
 
 
 def worker_main(rank: int, spec: DistSpec, arena_spec, barriers,
@@ -279,18 +184,23 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
 
     rng = rank_rng(cfg.seed, rank)
     loader = DataLoader(view, batch_size=cfg.batch_size, shuffle=True, rng=rng)
-    state = _RankState(rng)
+    state = RunState(rng)
+    # Rank 0's every reduced step loss.  It lives in the manifest commit,
+    # not the checkpoint (RunCheckpoint has no such field); JSON float64
+    # round-trips exactly, so a resumed trajectory concatenates
+    # bit-identically.
+    step_losses: list[float] = []
+    ckpt_config = {**spec.config, "world_size": world}
 
     if spec.resume_step is not None:
         if store is None:
             raise ValueError("resume_step requires checkpoint_dir")
-        ckpt = store.load_step(spec.resume_step)
-        step_losses = None
+        state.restore(store.load_step(spec.resume_step), model, optimizer)
         if rank == 0:
             commit = next((c for c in manifest_commits
                            if c["step"] == spec.resume_step), None)
-            step_losses = commit["step_losses"] if commit is not None else []
-        _restore(ckpt, model, optimizer, state, step_losses)
+            if commit is not None:
+                step_losses = list(commit["step_losses"])
 
     if rank == 0:
         obs.on_run_start(RunStartEvent(
@@ -303,13 +213,13 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
         manifest_commits.append({
             "step": state.step, "epoch": state.epoch,
             "batches_done": state.batches_done, "completed": completed,
-            "step_losses": [float(v) for v in state.step_losses],
+            "step_losses": [float(v) for v in step_losses],
         })
         _write_manifest(Path(spec.checkpoint_dir), world, manifest_commits)
 
     def sync_checkpoint(completed: bool = False) -> None:
         """All ranks persist the current step, then rank 0 commits."""
-        store.save(_capture(model, optimizer, state, spec.config, world),
+        store.save(state.capture(model, optimizer, ckpt_config),
                    is_best=False)
         barrier_c.wait(timeout=timeout)
         if rank == 0:
@@ -329,27 +239,14 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
     run_start = time.perf_counter()
     epoch_seconds: list[float] = []
     while True:
-        skip = state.batches_done
-        if skip == 0:
-            state.epoch_rng_state = rng_state(rng)
-            state.epoch_loss = 0.0
-            state.num_batches = 0
-            if rank == 0:
-                obs.on_epoch_start(EpochStartEvent(epoch=state.epoch))
-        else:
-            # Mid-epoch resume: rewind to the epoch-start RNG so the
-            # permutation replays identically, then skip trained batches.
-            set_rng_state(rng, state.epoch_rng_state)
-        state.epochs_run = state.epoch + 1
+        skip = state.begin_epoch()
+        if skip == 0 and rank == 0:
+            obs.on_epoch_start(EpochStartEvent(epoch=state.epoch))
         epoch_start = time.perf_counter()
         batch_iter = loader.iter_batches(skip=skip)
         for _ in range(steps - skip):
             batch = next(batch_iter)
-            for p in params:
-                p.grad = None
-            loss = model.training_loss(batch)
-            loss_value = loss.item()
-            loss.backward()
+            loss_value = compute_gradients(model.training_loss, batch, params)
             layout.pack_grads(params, arena.grad_slot(rank))
             arena.losses[rank] = loss_value
             if spec.fail_at is not None and spec.fail_at == (rank, state.step):
@@ -373,12 +270,9 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             if rank != 0:
                 layout.unpack_params(arena.params, params)
             mean_loss = float(arena.ctl[CTL_LOSS])
-            state.step += 1
-            state.batches_done += 1
-            state.epoch_loss += mean_loss
-            state.num_batches += 1
+            state.count_step(mean_loss)
             if rank == 0:
-                state.step_losses.append(mean_loss)
+                step_losses.append(mean_loss)
             steps_counter.inc()
             rows_counter.inc(len(batch.labels))
             wait_hist.record(wait_ms)
@@ -399,21 +293,10 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             obs.on_eval_end(EvalEndEvent(
                 epoch=state.epoch, split="validation", auc=result.auc,
                 logloss=result.logloss, train_loss=state.losses[-1]))
-            if improvement(result.auc, state.best_auc):
-                state.best_auc = result.auc
-                state.best_state = model.state_dict()
-                state.best_epoch = state.epoch
-                state.bad_epochs = 0
-            else:
-                state.bad_epochs += 1
-            stop = (state.epoch + 1 >= cfg.epochs
-                    or state.bad_epochs >= cfg.patience)
-            arena.ctl[CTL_STOP] = 1.0 if stop else 0.0
-        state.epoch += 1
-        state.batches_done = 0
-        # The finished epoch's permutation is already drawn; capture the RNG
-        # *now* so a resume consumes the next epoch's stream, not a replay.
-        state.epoch_rng_state = rng_state(rng)
+            state.select(model, result.auc)
+        state.advance()
+        if rank == 0:
+            arena.ctl[CTL_STOP] = 1.0 if state.finished(cfg) else 0.0
         if store is not None:
             sync_checkpoint()
         else:
@@ -422,33 +305,28 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             break
 
     if rank == 0:
-        _finish_rank0(spec, model, optimizer, state, params, layout, store,
-                      commit_manifest, registry, epoch_seconds,
-                      time.perf_counter() - run_start, part_rows, steps,
-                      workdir)
+        state.finish(model)
+        if store is not None:
+            # Same step number as the last epoch-end save, so this atomically
+            # replaces rank 0's file; the fresh commit flags the run complete.
+            store.save(state.capture(model, optimizer, ckpt_config),
+                       is_best=True)
+            commit_manifest(completed=True)
+        atomic_write_npz(workdir / "final_state.npz", state.best_state)
+        atomic_write_json(workdir / "result.json", run_record(
+            state, world, steps, part_rows, step_losses, epoch_seconds,
+            time.perf_counter() - run_start))
     _dump_metrics(registry, rank, workdir)
     if trace is not None:
         trace.close()
 
 
-def _finish_rank0(spec, model, optimizer, state, params, layout, store,
-                  commit_manifest, registry, epoch_seconds, wall_time_s,
-                  part_rows, steps, workdir: Path) -> None:
-    if state.best_state is None:
-        raise RuntimeError(
-            "distributed training never produced a finite validation AUC "
-            f"({state.epochs_run} epoch(s)); refusing to select final weights")
-    model.load_state_dict(state.best_state)
-    state.completed = True
-    if store is not None:
-        # Same step number as the last epoch-end save, so this atomically
-        # replaces rank 0's file; the fresh commit flags the run complete.
-        store.save(_capture(model, optimizer, state, spec.config,
-                            spec.world_size), is_best=True)
-        commit_manifest(completed=True)
-    atomic_write_npz(workdir / "final_state.npz", state.best_state)
-    atomic_write_json(workdir / "result.json", {
-        "world_size": spec.world_size,
+def run_record(state: RunState, world_size: int, steps: int, part_rows,
+               step_losses, epoch_seconds, wall_time_s: float) -> dict:
+    """JSON-safe outcome of a finished W-rank run, the same in every mode:
+    rank 0 writes it as ``result.json`` and the emulator returns it."""
+    return {
+        "world_size": world_size,
         "best_epoch": state.best_epoch,
         "epochs_run": state.epochs_run,
         "steps": state.step,
@@ -457,11 +335,11 @@ def _finish_rank0(spec, model, optimizer, state, params, layout, store,
         "history": [{"auc": float(r.auc), "logloss": float(r.logloss)}
                     for r in state.history],
         "train_losses": [float(v) for v in state.losses],
-        "step_losses": [float(v) for v in state.step_losses],
+        "step_losses": [float(v) for v in step_losses],
         "epoch_seconds": [float(s) for s in epoch_seconds],
         "wall_time_s": float(wall_time_s),
         "completed": True,
-    })
+    }
 
 
 def _dump_metrics(registry: MetricRegistry, rank: int, workdir: Path) -> None:

@@ -3,11 +3,12 @@
 Long CTR runs die in one of three numerical ways: the loss goes NaN/Inf, a
 gradient blows up to non-finite, or the loss spikes by orders of magnitude
 (usually one step before the NaN).  :class:`AnomalyGuard` watches all three.
-When one fires, the trainer rolls model + optimiser + RNG streams back to the
-last good checkpoint, multiplies the learning rate by ``backoff_factor``, and
-retries — up to ``max_retries`` times across the run before giving up with
-:class:`NumericalAnomalyError`.  Every detection and rollback is narrated on
-the ``repro.obs`` event bus (``anomaly_detected`` / ``checkpoint_restored``).
+When one fires, :meth:`AnomalyGuard.rollback` (shared by ``Trainer`` and
+``IncrementalTrainer``) restores the last good checkpoint and multiplies the
+learning rate by ``backoff_factor``, and the loop retries — up to
+``max_retries`` times across the run before :class:`NumericalAnomalyError`.
+The Trainer narrates every detection and rollback on the ``repro.obs`` event
+bus (``anomaly_detected`` / ``checkpoint_restored``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from .checkpoint import RunCheckpoint
 
@@ -30,8 +30,9 @@ class NumericalAnomalyError(RuntimeError):
 class AnomalySignal(Exception):
     """Internal control-flow signal: a training step hit an anomaly.
 
-    Raised by the step loop *before* the optimiser applies a bad update and
-    caught by ``Trainer.fit``'s recovery loop; never leaves the trainer.
+    Raised by the shared training step *before* the optimiser applies a bad
+    update; the loop that owns the guard catches it and calls
+    :meth:`AnomalyGuard.rollback`.
     """
 
     def __init__(self, kind: str, value: float, step: int, epoch: int):
@@ -140,5 +141,26 @@ class AnomalyGuard:
     def retries_remaining(self) -> int:
         return max(self.config.max_retries - self.retries, 0)
 
-    def state(self) -> dict[str, Any]:
-        return {"retries": self.retries}
+    def rollback(self, signal: AnomalySignal, state, model,
+                 optimizer) -> RunCheckpoint:
+        """Restore ``state`` (a ``RunState``), ``model`` and ``optimizer``
+        from :attr:`last_good` with lr backoff; returns that checkpoint.
+
+        Raises :class:`NumericalAnomalyError` once the retry budget is spent.
+        """
+        self.retries += 1
+        if self.retries > self.config.max_retries or self.last_good is None:
+            raise NumericalAnomalyError(
+                f"{signal.kind} at step {signal.step} "
+                f"(value={signal.value!r}); retry budget of "
+                f"{self.config.max_retries} exhausted "
+                f"(lr reached {optimizer.lr:g})") from signal
+        lr_at_failure = optimizer.lr
+        ckpt = self.last_good
+        state.restore(ckpt, model, optimizer)
+        self.retries = max(self.retries, ckpt.anomaly_retries)
+        # Back off from the lr in effect when the anomaly hit (not the
+        # restored one) so repeated failures keep shrinking the step size.
+        optimizer.lr = lr_at_failure * self.config.backoff_factor
+        self.reset_stats()
+        return ckpt

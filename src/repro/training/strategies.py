@@ -11,8 +11,9 @@ import numpy as np
 
 from ..core.plugin import MISSEnhancedModel
 from ..data.batching import CTRDataset, DataLoader
-from ..nn import Adam, clip_grad_norm
-from .trainer import TrainConfig, Trainer, TrainResult
+from ..nn import Adam
+from .trainer import (TrainConfig, Trainer, TrainResult, apply_gradients,
+                      compute_gradients)
 
 __all__ = ["train_joint", "train_pretrain"]
 
@@ -45,11 +46,8 @@ def train_pretrain(model: MISSEnhancedModel, train: CTRDataset,
     model.train()
     for _ in range(pretrain_epochs):
         for batch in loader:
-            optimizer.zero_grad()
-            loss = model.ssl_loss(batch)
-            loss.backward()
-            clip_grad_norm(optimizer.parameters, config.grad_clip)
-            optimizer.step()
+            compute_gradients(model.ssl_loss, batch, optimizer.parameters)
+            apply_gradients(optimizer, config.grad_clip)
 
     # Stage two: plain CTR fine-tuning of the base model (embeddings warm).
     return Trainer(config).fit(model.base, train, validation,

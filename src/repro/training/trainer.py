@@ -63,7 +63,6 @@ from ..resilience import (
     CheckpointCorruptError,
     CheckpointStore,
     GracefulInterrupt,
-    NumericalAnomalyError,
     RunCheckpoint,
     TrainingInterrupted,
     named_rng_states,
@@ -73,8 +72,8 @@ from ..resilience import (
 )
 from .metrics import EvalResult, auc_score, logloss_score
 
-__all__ = ["TrainConfig", "TrainResult", "Trainer", "evaluate",
-           "improvement"]
+__all__ = ["TrainConfig", "TrainResult", "Trainer", "RunState", "evaluate",
+           "compute_gradients", "apply_gradients"]
 
 BatchCallback = Callable[[CTRModel, Batch, int], None]
 
@@ -158,19 +157,19 @@ def evaluate(model: CTRModel, dataset: CTRDataset, batch_size: int = 512) -> Eva
                       logloss=logloss_score(dataset.labels, probs))
 
 
-def improvement(auc: float, best_auc: float) -> bool:
-    """Validation-selection rule shared by :class:`Trainer` and
-    :mod:`repro.distributed`: an epoch improves only on a *finite* AUC
-    strictly above the best so far.  NaN must not silently win (``NaN > x``
-    is ``False`` for every ``x``), so a NaN epoch counts as non-improving
-    and the all-NaN case is rejected explicitly after the loop.
-    """
-    return bool(np.isfinite(auc) and auc > best_auc)
+#: Placeholder optimizer state checkpointed by loops that hold no optimizer
+#: (distributed ranks != 0: the one real optimizer lives on rank 0).
+_NO_OPTIMIZER = {"kind": "none", "lr": 0.0, "weight_decay": 0.0, "arrays": {}}
 
 
-class _RunState:
+class RunState:
     """Mutable loop state of one training run — exactly what a
-    :class:`RunCheckpoint` serialises, plus the live loader RNG."""
+    :class:`RunCheckpoint` serialises, plus the live loader RNG.
+
+    Shared by every loop: :class:`Trainer`, the distributed ranks and
+    emulator, and the streaming ``IncrementalTrainer`` (window index in
+    ``epoch``).
+    """
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
@@ -189,6 +188,185 @@ class _RunState:
         self.component_sums: dict[str, float] = {}
         self.epochs_run = 0
         self.completed = False
+
+    def begin_epoch(self) -> int:
+        """Enter the epoch; returns how many batches to skip.  Mid-epoch
+        (after a resume or rollback) the loader RNG rewinds to the epoch
+        start, so the permutation replays and trained batches are skipped."""
+        skip = self.batches_done
+        if skip == 0:
+            self.epoch_rng_state = rng_state(self.rng)
+            self.epoch_loss = 0.0
+            self.num_batches = 0
+            self.component_sums = {}
+        else:
+            set_rng_state(self.rng, self.epoch_rng_state)
+        self.epochs_run = self.epoch + 1
+        return skip
+
+    def count_step(self, loss: float) -> None:
+        """Account one completed optimizer step with (reduced) loss ``loss``."""
+        self.epoch_loss += loss
+        self.num_batches += 1
+        self.step += 1
+        self.batches_done += 1
+
+    def select(self, model, auc: float) -> bool:
+        """Epoch-end selection: only a *finite* AUC strictly above the best
+        improves, so a NaN epoch never silently wins (``NaN > x`` is always
+        false) and an all-NaN run is rejected by :meth:`finish`."""
+        improved = bool(np.isfinite(auc) and auc > self.best_auc)
+        if improved:
+            self.best_auc = auc
+            self.best_state = model.state_dict()
+            self.best_epoch = self.epoch
+            self.bad_epochs = 0
+        else:
+            self.bad_epochs += 1
+        return improved
+
+    def advance(self) -> None:
+        """Move to the next epoch."""
+        self.epoch += 1
+        self.batches_done = 0
+        # The finished epoch's permutation has already been drawn from the
+        # loader RNG, so the state *now* is what the next epoch consumes.
+        # Refresh the capture before the epoch-end checkpoint — a resume
+        # from a stale capture would replay the finished epoch's
+        # permutation and diverge from the uninterrupted run.
+        self.epoch_rng_state = rng_state(self.rng)
+
+    def finished(self, config: TrainConfig) -> bool:
+        """Epoch budget spent or patience exhausted."""
+        return (self.epoch >= config.epochs
+                or self.bad_epochs >= config.patience)
+
+    def finish(self, model) -> None:
+        """Load the best epoch's weights into ``model``; mark the run done."""
+        if self.best_state is None:
+            raise RuntimeError(
+                "training never produced a finite validation AUC "
+                f"({self.epochs_run} epoch(s), "
+                f"last={self.history[-1].auc!r}); "
+                "refusing to silently select the final weights")
+        model.load_state_dict(self.best_state)
+        self.completed = True
+
+    def capture(self, model, optimizer, config: dict,
+                anomaly_retries: int = 0) -> RunCheckpoint:
+        """Snapshot the run; ``optimizer=None`` stores a placeholder."""
+        return RunCheckpoint(
+            model_state=model.state_dict(),
+            optimizer_state=(optimizer.state_dict() if optimizer is not None
+                             else dict(_NO_OPTIMIZER)),
+            loader_rng_state=self.epoch_rng_state,
+            module_rng_states=named_rng_states(model),
+            epoch=self.epoch,
+            batches_done=self.batches_done,
+            step=self.step,
+            best_auc=float(self.best_auc),
+            best_epoch=self.best_epoch,
+            bad_epochs=self.bad_epochs,
+            best_state=({k: v.copy() for k, v in self.best_state.items()}
+                        if self.best_state is not None else None),
+            history=[{"auc": float(r.auc), "logloss": float(r.logloss)}
+                     for r in self.history],
+            train_losses=list(self.losses),
+            epoch_loss=self.epoch_loss,
+            num_batches=self.num_batches,
+            component_sums=dict(self.component_sums),
+            epochs_run=self.epochs_run,
+            anomaly_retries=anomaly_retries,
+            config=config,
+            completed=self.completed,
+        )
+
+    def restore(self, ckpt: RunCheckpoint, model, optimizer) -> None:
+        """Load ``ckpt`` into the run; ``optimizer=None`` skips the moments."""
+        model.load_state_dict(ckpt.model_state)
+        if optimizer is not None:
+            optimizer.load_state_dict(ckpt.optimizer_state)
+        restore_rng_states(model, ckpt.module_rng_states)
+        set_rng_state(self.rng, ckpt.loader_rng_state)
+        self.epoch_rng_state = ckpt.loader_rng_state
+        self.epoch = ckpt.epoch
+        self.batches_done = ckpt.batches_done
+        self.step = ckpt.step
+        self.best_auc = ckpt.best_auc
+        self.best_epoch = ckpt.best_epoch
+        self.bad_epochs = ckpt.bad_epochs
+        self.best_state = ({k: v.copy() for k, v in ckpt.best_state.items()}
+                           if ckpt.best_state is not None else None)
+        self.history = [EvalResult(auc=row["auc"], logloss=row["logloss"])
+                        for row in ckpt.history]
+        self.losses = list(ckpt.train_losses)
+        self.epoch_loss = ckpt.epoch_loss
+        self.num_batches = ckpt.num_batches
+        self.component_sums = dict(ckpt.component_sums)
+        self.epochs_run = ckpt.epochs_run
+        self.completed = ckpt.completed
+
+    def resume(self, store: CheckpointStore, model, optimizer, guard):
+        """Restore the newest valid checkpoint in ``store`` and ``guard``'s
+        retry count; returns ``store.load_latest()``.
+
+        Raises :class:`CheckpointCorruptError` if *every* checkpoint fails
+        validation: restarting from scratch would silently discard the run
+        and overwrite the corrupt-but-diagnostic files.
+        """
+        ckpt, path, skipped = store.load_latest()
+        if ckpt is None and skipped:
+            reasons = "; ".join(f"{p}: {why}" for p, why in skipped)
+            raise CheckpointCorruptError(
+                f"resuming, but no checkpoint in {store.directory} passed "
+                f"validation; refusing to silently restart from scratch "
+                f"({reasons})")
+        if ckpt is not None:
+            self.restore(ckpt, model, optimizer)
+            if guard is not None:
+                guard.retries = ckpt.anomaly_retries
+        return ckpt, path, skipped
+
+
+def _check(kind: str | None, value: float, state: RunState) -> None:
+    if kind is not None:
+        raise AnomalySignal(kind, value, state.step + 1, state.epoch)
+
+
+def compute_gradients(loss_fn, batch, parameters, guard=None,
+                      state: RunState | None = None) -> float:
+    """Local half of a training step: zero grads, loss, check, backward.
+
+    Returns the loss value.  The loss is checked *before* ``backward`` so a
+    NaN never reaches the weights.  Distributed ranks reduce the gradients
+    between this and :func:`apply_gradients`.
+    """
+    for p in parameters:
+        p.grad = None
+    with phase("train.forward"):
+        loss = loss_fn(batch)
+    value = loss.item()
+    if guard is not None:
+        _check(guard.check_loss(value), value, state)
+    with phase("train.backward"):
+        loss.backward()
+    return value
+
+
+def apply_gradients(optimizer, grad_clip: float, loss: float | None = None,
+                    guard=None, state: RunState | None = None) -> float:
+    """Update half of a training step: clip, check, step, record.
+
+    Returns the pre-clip grad norm, checked *before* the update applies.
+    """
+    with phase("train.optim"):
+        grad_norm = clip_grad_norm(optimizer.parameters, grad_clip)
+        if guard is not None:
+            _check(guard.check_grad_norm(grad_norm), grad_norm, state)
+        optimizer.step()
+    if guard is not None:
+        guard.record(loss)
+    return grad_norm
 
 
 class Trainer:
@@ -238,21 +416,11 @@ class Trainer:
                                 rng=rng)
         optimizer = Adam(model.parameters(), lr=cfg.learning_rate,
                          weight_decay=cfg.weight_decay)
-        state = _RunState(rng)
+        state = RunState(rng)
 
         if resume:
-            ckpt, path, skipped = store.load_latest()
-            if ckpt is None and skipped:
-                # Every checkpoint on disk failed validation.  Restarting from
-                # scratch here would silently discard a (possibly multi-hour)
-                # run and overwrite the corrupt-but-diagnostic files.
-                reasons = "; ".join(f"{p}: {why}" for p, why in skipped)
-                raise CheckpointCorruptError(
-                    f"resume=True, but no checkpoint in {store.directory} "
-                    f"passed validation; refusing to silently restart from "
-                    f"scratch ({reasons})")
+            ckpt, path, skipped = state.resume(store, model, optimizer, guard)
             if ckpt is not None:
-                self._restore(ckpt, model, optimizer, state, guard)
                 obs.on_checkpoint_restored(CheckpointRestoredEvent(
                     step=ckpt.step, epoch=ckpt.epoch, reason="resume",
                     path=str(path),
@@ -291,26 +459,32 @@ class Trainer:
         with (interrupt if interrupt is not None else nullcontext()):
             if guard is not None and guard.last_good is None:
                 # Arm rollback from step one: snapshot the initial state.
-                guard.snapshot(self._capture(model, optimizer, state, guard))
+                guard.snapshot(state.capture(model, optimizer, asdict(cfg),
+                                             guard.retries))
             while True:
                 try:
                     self._train_epochs(model, loader, validation, optimizer,
                                        state, obs, instrument, registry,
                                        timings, store, guard,
                                        checkpoint_every, interrupt)
+                    break
                 except AnomalySignal as signal_:
-                    self._recover(signal_, guard, model, optimizer, state, obs)
-                    continue
-                break
+                    lr = optimizer.lr
+                    try:
+                        ckpt = guard.rollback(signal_, state, model, optimizer)
+                    finally:
+                        # Narrated whether or not the budget allows a retry.
+                        obs.on_anomaly_detected(AnomalyDetectedEvent(
+                            step=signal_.step, epoch=signal_.epoch,
+                            anomaly=signal_.kind, value=signal_.value, lr=lr,
+                            retries=guard.retries,
+                            retries_remaining=guard.retries_remaining))
+                    obs.on_checkpoint_restored(CheckpointRestoredEvent(
+                        step=ckpt.step, epoch=ckpt.epoch, reason="rollback",
+                        path=(str(guard.last_good_path)
+                              if guard.last_good_path is not None else None)))
 
-        if state.best_state is None:
-            raise RuntimeError(
-                "training never produced a finite validation AUC "
-                f"({state.epochs_run} epoch(s), "
-                f"last={state.history[-1].auc!r}); "
-                "refusing to silently select the final weights")
-        model.load_state_dict(state.best_state)
-        state.completed = True
+        state.finish(model)
         if store is not None:
             # Final checkpoint: model holds the best-epoch weights and the
             # run is flagged complete, so a later --resume is a no-op.
@@ -334,25 +508,14 @@ class Trainer:
     # Core loop
     # ------------------------------------------------------------------
     def _train_epochs(self, model, loader, validation, optimizer,
-                      state: _RunState, obs, instrument, registry, timings,
+                      state: RunState, obs, instrument, registry, timings,
                       store, guard, checkpoint_every, interrupt) -> None:
         cfg = self.config
-        while state.epoch < cfg.epochs and state.bad_epochs < cfg.patience:
+        while not state.finished(cfg):
             epoch = state.epoch
-            state.epochs_run = epoch + 1
-            skip = state.batches_done
-            if skip == 0:
-                state.epoch_rng_state = rng_state(state.rng)
-                state.epoch_loss = 0.0
-                state.num_batches = 0
-                state.component_sums = {}
-                if instrument:
-                    obs.on_epoch_start(EpochStartEvent(epoch=epoch))
-            else:
-                # Resuming (or rolling back) mid-epoch: rewind the loader RNG
-                # to the epoch start so the permutation replays identically,
-                # then skip the batches that were already trained on.
-                set_rng_state(state.rng, state.epoch_rng_state)
+            skip = state.begin_epoch()
+            if skip == 0 and instrument:
+                obs.on_epoch_start(EpochStartEvent(epoch=epoch))
             with collect(timings) if instrument else nullcontext():
                 for batch in loader.iter_batches(skip=skip):
                     self._train_step(model, batch, optimizer, state, obs,
@@ -382,22 +545,8 @@ class Trainer:
                     logloss=result.logloss, train_loss=state.losses[-1],
                     loss_components=means))
 
-            improved = improvement(result.auc, state.best_auc)
-            if improved:
-                state.best_auc = result.auc
-                state.best_state = model.state_dict()
-                state.best_epoch = epoch
-                state.bad_epochs = 0
-            else:
-                state.bad_epochs += 1
-            state.epoch += 1
-            state.batches_done = 0
-            # The finished epoch's permutation has already been drawn from the
-            # loader RNG, so the state *now* is what the next epoch consumes.
-            # Refresh the capture before the epoch-end checkpoint — a resume
-            # from a stale capture would replay the finished epoch's
-            # permutation and diverge from the uninterrupted run.
-            state.epoch_rng_state = rng_state(state.rng)
+            improved = state.select(model, result.auc)
+            state.advance()
             path = None
             if store is not None or guard is not None:
                 path = self._write_checkpoint(model, optimizer, state, store,
@@ -410,81 +559,29 @@ class Trainer:
                 raise TrainingInterrupted(signum=interrupt.signum,
                                           step=state.step, checkpoint=path)
 
-    def _train_step(self, model, batch, optimizer, state: _RunState, obs,
+    def _train_step(self, model, batch, optimizer, state: RunState, obs,
                     instrument, registry, guard) -> None:
-        cfg = self.config
-        optimizer.zero_grad()
-        with phase("train.forward"):
-            loss = model.training_loss(batch)
-        loss_value = loss.item()
-        if guard is not None:
-            kind = guard.check_loss(loss_value)
-            if kind is not None:
-                raise AnomalySignal(kind, loss_value, state.step + 1,
-                                    state.epoch)
-        with phase("train.backward"):
-            loss.backward()
-        with phase("train.optim"):
-            grad_norm = clip_grad_norm(optimizer.parameters, cfg.grad_clip)
-            if guard is not None:
-                kind = guard.check_grad_norm(grad_norm)
-                if kind is not None:
-                    # Caught before the update applies, so the weights stay
-                    # finite; rollback still rewinds to replay the stream.
-                    raise AnomalySignal(kind, grad_norm, state.step + 1,
-                                        state.epoch)
-            optimizer.step()
-        if guard is not None:
-            guard.record(loss_value)
-        state.epoch_loss += loss_value
-        state.num_batches += 1
-        state.step += 1
-        state.batches_done += 1
+        loss = compute_gradients(model.training_loss, batch,
+                                 optimizer.parameters, guard, state)
+        grad_norm = apply_gradients(optimizer, self.config.grad_clip, loss,
+                                    guard, state)
+        state.count_step(loss)
         if instrument:
             components = getattr(model, "last_loss_components", None)
-            self._record_step(registry, loss_value, grad_norm, components)
+            self._record_step(registry, loss, grad_norm, components)
             if components:
                 for name, value in components.items():
                     state.component_sums[name] = (
                         state.component_sums.get(name, 0.0) + value)
             obs.on_batch_end(BatchEndEvent(
-                epoch=state.epoch, step=state.step, loss=loss_value,
+                epoch=state.epoch, step=state.step, loss=loss,
                 grad_norm=grad_norm, loss_components=components,
                 model=model, batch=batch))
 
-    # ------------------------------------------------------------------
-    # Checkpoint capture / restore
-    # ------------------------------------------------------------------
-    def _capture(self, model, optimizer, state: _RunState,
-                 guard) -> RunCheckpoint:
-        return RunCheckpoint(
-            model_state=model.state_dict(),
-            optimizer_state=optimizer.state_dict(),
-            loader_rng_state=state.epoch_rng_state,
-            module_rng_states=named_rng_states(model),
-            epoch=state.epoch,
-            batches_done=state.batches_done,
-            step=state.step,
-            best_auc=float(state.best_auc),
-            best_epoch=state.best_epoch,
-            bad_epochs=state.bad_epochs,
-            best_state=({k: v.copy() for k, v in state.best_state.items()}
-                        if state.best_state is not None else None),
-            history=[{"auc": float(r.auc), "logloss": float(r.logloss)}
-                     for r in state.history],
-            train_losses=list(state.losses),
-            epoch_loss=state.epoch_loss,
-            num_batches=state.num_batches,
-            component_sums=dict(state.component_sums),
-            epochs_run=state.epochs_run,
-            anomaly_retries=guard.retries if guard is not None else 0,
-            config=asdict(self.config),
-            completed=state.completed,
-        )
-
-    def _write_checkpoint(self, model, optimizer, state: _RunState, store,
+    def _write_checkpoint(self, model, optimizer, state: RunState, store,
                           guard, obs, is_best: bool = False) -> Path | None:
-        ckpt = self._capture(model, optimizer, state, guard)
+        ckpt = state.capture(model, optimizer, asdict(self.config),
+                             guard.retries if guard is not None else 0)
         path = store.save(ckpt, is_best=is_best) if store is not None else None
         if guard is not None:
             guard.snapshot(ckpt, path)
@@ -493,62 +590,6 @@ class Trainer:
             path=str(path) if path is not None else None,
             is_best=is_best, completed=state.completed))
         return path
-
-    @staticmethod
-    def _restore(ckpt: RunCheckpoint, model, optimizer, state: _RunState,
-                 guard=None) -> None:
-        model.load_state_dict(ckpt.model_state)
-        optimizer.load_state_dict(ckpt.optimizer_state)
-        restore_rng_states(model, ckpt.module_rng_states)
-        set_rng_state(state.rng, ckpt.loader_rng_state)
-        state.epoch_rng_state = ckpt.loader_rng_state
-        state.epoch = ckpt.epoch
-        state.batches_done = ckpt.batches_done
-        state.step = ckpt.step
-        state.best_auc = ckpt.best_auc
-        state.best_epoch = ckpt.best_epoch
-        state.bad_epochs = ckpt.bad_epochs
-        state.best_state = ({k: v.copy() for k, v in ckpt.best_state.items()}
-                            if ckpt.best_state is not None else None)
-        state.history = [EvalResult(auc=row["auc"], logloss=row["logloss"])
-                         for row in ckpt.history]
-        state.losses = list(ckpt.train_losses)
-        state.epoch_loss = ckpt.epoch_loss
-        state.num_batches = ckpt.num_batches
-        state.component_sums = dict(ckpt.component_sums)
-        state.epochs_run = ckpt.epochs_run
-        state.completed = ckpt.completed
-        if guard is not None:
-            guard.retries = ckpt.anomaly_retries
-
-    def _recover(self, signal_: AnomalySignal, guard: AnomalyGuard | None,
-                 model, optimizer, state: _RunState, obs) -> None:
-        """Roll back to the last good checkpoint with LR backoff, or give up."""
-        if guard is None:  # pragma: no cover - signals only raised with guard
-            raise signal_
-        guard.retries += 1
-        obs.on_anomaly_detected(AnomalyDetectedEvent(
-            step=signal_.step, epoch=signal_.epoch, anomaly=signal_.kind,
-            value=signal_.value, lr=optimizer.lr, retries=guard.retries,
-            retries_remaining=guard.retries_remaining))
-        if guard.retries > guard.config.max_retries or guard.last_good is None:
-            raise NumericalAnomalyError(
-                f"{signal_.kind} at step {signal_.step} "
-                f"(value={signal_.value!r}); retry budget of "
-                f"{guard.config.max_retries} exhausted "
-                f"(lr reached {optimizer.lr:g})") from signal_
-        lr_at_failure = optimizer.lr
-        ckpt = guard.last_good
-        self._restore(ckpt, model, optimizer, state)
-        guard.retries = max(guard.retries, ckpt.anomaly_retries)
-        # Back off from the lr in effect when the anomaly hit (not the
-        # restored one) so repeated failures keep shrinking the step size.
-        optimizer.lr = lr_at_failure * guard.config.backoff_factor
-        guard.reset_stats()
-        obs.on_checkpoint_restored(CheckpointRestoredEvent(
-            step=ckpt.step, epoch=ckpt.epoch, reason="rollback",
-            path=(str(guard.last_good_path)
-                  if guard.last_good_path is not None else None)))
 
     @staticmethod
     def _record_step(registry: MetricRegistry, loss: float, grad_norm: float,

@@ -20,6 +20,11 @@ from repro.data.corruption import (
 from repro.data.processing import build_ctr_data
 from repro.data.synthetic import InterestWorld, InterestWorldConfig
 from repro.models import create_model
+from repro.resilience import (
+    CheckpointCorruptError,
+    CheckpointStore,
+    NumericalAnomalyError,
+)
 from repro.serving.artifact import export_artifact
 from repro.serving.batcher import ScoringEngine
 from repro.serving.registry import ModelRegistry
@@ -42,6 +47,8 @@ from repro.streaming import (
     score_histogram,
 )
 from repro.training.trainer import TrainConfig, Trainer
+
+from .test_resilience import flip_payload_byte, poison_loss
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +452,60 @@ class TestIncrementalTrainer:
             artifact, IncrementalConfig(seed=0))
         with pytest.raises(ValueError):
             trainer.resume()
+
+    def test_resume_with_only_corrupt_checkpoints_raises(
+            self, world_data, artifact, tmp_path):
+        config = IncrementalConfig(seed=0)
+        first = IncrementalTrainer.from_artifact(artifact, config,
+                                                 checkpoint_dir=tmp_path)
+        for window in self._stream(world_data, windows=3).windows():
+            first.process_window(window.data, window.index)
+        store = CheckpointStore(tmp_path)
+        assert store.manifests()
+        for manifest in store.manifests():
+            flip_payload_byte(manifest)
+
+        resumed = IncrementalTrainer.from_artifact(artifact, config,
+                                                   checkpoint_dir=tmp_path)
+        with pytest.raises(CheckpointCorruptError,
+                           match="refusing to silently restart"):
+            resumed.resume()
+
+    def test_transient_nan_rolls_back_and_finishes_window(self, world_data,
+                                                          artifact):
+        config = IncrementalConfig(seed=0)
+        trainer = IncrementalTrainer.from_artifact(artifact, config)
+        # One batch per window: call 2 is window 1's only training step.
+        poison_loss(trainer.model, {2})
+        windows = list(self._stream(world_data, windows=3).windows())
+        assert len(windows[1].data) <= config.batch_size
+        results = [trainer.process_window(w.data, w.index) for w in windows]
+
+        guard = trainer.guard
+        assert guard.retries == 1
+        assert trainer.optimizer.lr == \
+            config.learning_rate * guard.config.backoff_factor
+        assert [r.window for r in results] == [0, 1, 2]
+        assert all(np.isfinite(r.train_loss) for r in results)
+        # The rollback rewound the step counter past the poisoned step.
+        assert trainer.state.step == 3 and trainer.state.epoch == 3
+        for value in trainer.model.state_dict().values():
+            assert np.isfinite(value).all()
+
+    def test_persistent_nan_exhausts_retry_budget(self, world_data,
+                                                  artifact):
+        config = IncrementalConfig(seed=0)
+        trainer = IncrementalTrainer.from_artifact(artifact, config)
+        poison_loss(trainer.model, lambda n: n >= 2)
+        first, second = self._stream(world_data, windows=2).windows()
+        trainer.process_window(first.data, first.index)
+        with pytest.raises(NumericalAnomalyError, match="retry budget"):
+            trainer.process_window(second.data, second.index)
+        guard = trainer.guard
+        assert guard.retries == guard.config.max_retries + 1
+        assert trainer.optimizer.lr == pytest.approx(
+            config.learning_rate
+            * guard.config.backoff_factor ** guard.config.max_retries)
 
 
 def _engine_factory(session):
