@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Tensor
+from ..nn import Tensor, gather_per_sample
 from .distances import sample_distance
 
 __all__ = ["InterestViewSample", "FeatureViewSample",
@@ -80,9 +80,7 @@ def _per_sample_starts(mask: np.ndarray | None, batch: int,
 
 def _gather_views(g: Tensor, positions: np.ndarray) -> Tensor:
     """Per-sample time gather: ``(B, J, L', K)`` + ``(B,)`` → ``(B, J·K)``."""
-    batch = g.shape[0]
-    index = (np.arange(batch), slice(None), positions)
-    return g[index].flatten_from(1)
+    return gather_per_sample(g, slice(None), positions).flatten_from(1)
 
 
 def sample_interest_pairs(interest_maps: list[Tensor], num_pairs: int,
@@ -164,9 +162,8 @@ def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
                 row2 += 1
         else:
             row2 = row1
-        index1 = (np.arange(batch), row1, positions)
-        index2 = (np.arange(batch), row2, positions)
         samples.append(FeatureViewSample(
-            view1=g[index1], view2=g[index2], row1=row1, row2=row2,
+            view1=gather_per_sample(g, row1, positions),
+            view2=gather_per_sample(g, row2, positions), row1=row1, row2=row2,
             positions=positions, width=width, height=height))
     return samples

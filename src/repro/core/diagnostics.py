@@ -23,12 +23,16 @@ class SimilarityTracker(BaseObserver):
     ``observers=[tracker]``.  It also remains directly callable with
     ``(model, batch, step)``, so the legacy ``on_batch_end`` hook keeps
     working.  Afterwards ``steps`` and ``similarities`` hold the Figure 5
-    series for one extractor.
+    series for one extractor.  Pairs are drawn from the tracker's own
+    generator (seeded with the MISS config seed on first use), so a tracked
+    run trains exactly as an untracked one.
     """
 
     every: int = 1
     steps: list[int] = field(default_factory=list)
     similarities: list[float] = field(default_factory=list)
+    _rng: np.random.Generator | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def on_batch_end(self, event: BatchEndEvent) -> None:
         self(event.model, event.batch, event.step)
@@ -38,9 +42,12 @@ class SimilarityTracker(BaseObserver):
             return
         if not isinstance(model, MISSEnhancedModel):
             raise TypeError("SimilarityTracker requires a MISS-enhanced model")
+        if self._rng is None:
+            self._rng = np.random.default_rng(model.ssl.config.seed)
         with no_grad():
             c = model.embedder.sequence_embeddings(batch)
-            similarity = model.ssl.pair_similarity(c, mask=batch.mask)
+            similarity = model.ssl.pair_similarity(c, mask=batch.mask,
+                                                   rng=self._rng)
         self.steps.append(step)
         self.similarities.append(similarity)
 

@@ -287,17 +287,24 @@ class MISSModule(Module):
     # Diagnostics (Figure 5)
     # ------------------------------------------------------------------
     def pair_similarity(self, c: Tensor, num_pairs: int | None = None,
-                        mask: np.ndarray | None = None) -> float:
+                        mask: np.ndarray | None = None,
+                        rng: np.random.Generator | None = None) -> float:
         """Mean cosine similarity of freshly sampled interest view pairs.
 
         The paper's Figure 5 plots this during training: the CNN extractor
         stays near 0.7-0.8 (informative pairs) while SA/LSTM collapse to ~1.
+        Pairs are drawn from ``rng`` (a generator seeded with the config
+        seed when omitted), never from the training generator, so observing
+        a run does not change it.
         """
         cfg = self.config
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed)
         maps = self.interest_maps(c)
         samples = sample_interest_pairs(maps, num_pairs or cfg.num_interest_pairs,
-                                        cfg.effective_distance, self._rng,
-                                        mask=mask, seq_len=c.shape[2])
+                                        cfg.effective_distance, rng,
+                                        mask=mask, seq_len=c.shape[2],
+                                        distribution=cfg.distance_distribution)
         sims = [float(F.cosine_similarity(s.view1.detach(),
                                           s.view2.detach()).mean().data)
                 for s in samples]

@@ -35,6 +35,7 @@ from .tensor import (
     Tensor,
     as_tensor,
     concatenate,
+    gather_per_sample,
     is_grad_enabled,
     maximum,
     minimum,
@@ -48,7 +49,7 @@ __all__ = [
     "ArrayOps", "available_backends", "get_backend", "set_backend",
     "use_backend", "resolve_backend",
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
-    "concatenate", "stack", "where", "maximum", "minimum",
+    "concatenate", "gather_per_sample", "stack", "where", "maximum", "minimum",
     "Module", "ModuleList", "Parameter", "Buffer",
     "Dense", "Embedding", "Dropout", "MLP", "Sequential",
     "PReLU", "Dice", "Identity", "get_activation",

@@ -26,7 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ArrayOps"]
+__all__ = ["ArrayOps", "axis_slice"]
+
+
+def axis_slice(ndim: int, axis: int, start: int, stop: int | None) -> tuple:
+    """Index key selecting ``[start:stop]`` along ``axis`` of an ``ndim`` array."""
+    key = [slice(None)] * ndim
+    key[axis] = slice(start, stop)
+    return tuple(key)
 
 
 class ArrayOps:
@@ -41,7 +48,7 @@ class ArrayOps:
     name = "abstract"
 
     # Capability flags — ``repro.nn.kernels`` consults these per call.
-    fuses_conv = False          # windowed MIE/MIMFE convolutions
+    fuses_conv = False          # windowed MIE/MIMFE convolutions (+relu)
     fuses_embedding = False     # embedding backward scatter
     fuses_linear = False        # linear (+bias) (+relu) forward/backward
     fuses_l2norm = False        # InfoNCE L2 normalisation
@@ -72,15 +79,16 @@ class ArrayOps:
     # ------------------------------------------------------------------
     # Fused kernels — only called when the matching ``fuses_*`` flag is on.
     # ------------------------------------------------------------------
-    def conv_window(self, x: np.ndarray, w: np.ndarray,
-                    axis: int) -> np.ndarray:
-        """Windowed 1-D convolution of ``w`` along ``axis`` (valid mode)."""
+    def conv_window(self, x: np.ndarray, w: np.ndarray, axis: int,
+                    relu: bool) -> np.ndarray:
+        """Windowed 1-D convolution of ``w`` along ``axis`` (valid mode),
+        followed by a ReLU when ``relu``."""
         raise NotImplementedError
 
     def conv_window_backward(self, grad: np.ndarray, x: np.ndarray,
-                             w: np.ndarray, axis: int,
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        """``(dL/dx, dL/dw)`` of :meth:`conv_window`."""
+                             w: np.ndarray, out: np.ndarray, *, axis: int,
+                             relu: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(dL/dx, dL/dw)`` of :meth:`conv_window` (``out`` is its result)."""
         raise NotImplementedError
 
     def scatter_rows(self, grad: np.ndarray, indices: np.ndarray,

@@ -2,13 +2,17 @@
 
 Five kernel families replace the reference compositions:
 
-* **Windowed convolutions** (MIE horizontal / MIMFE vertical): the per-offset
-  Python loop of scaled slices becomes one ``sliding_window_view`` plus a
-  single GEMM (``tensordot`` over the window axis); the input gradient is the
-  same GEMM against the flipped kernel over a zero-padded window view.
+* **Windowed convolutions** (MIE horizontal / MIMFE vertical) with the
+  optional ReLU: one node instead of ``2·width`` slice/scale/add nodes plus a
+  ``relu``.  The forward multiply-accumulates the ``≤ 4`` shifted slices in
+  place (the reference order, so the values are bit-equal); the backward is
+  one ``einsum`` reduction per offset for the kernel gradient and one scaled
+  in-place add per offset for the input gradient — no window copies, BLAS
+  call or padding.
 * **Embedding backward**: the ``np.add.at`` scatter (notoriously slow —
   element-at-a-time ufunc inner loop) becomes one flat ``np.bincount``
-  segment-sum over ``index * K + column``.
+  segment-sum over ``index * K + column`` (the flat index is a pooled
+  scratch buffer).
 * **Fused linear**: ``relu(x @ w + b)`` runs as one node with in-place bias
   add and ReLU; the backward collapses rank-N inputs to a single pair of
   GEMMs instead of a batched matmul followed by an axis reduction.
@@ -31,9 +35,8 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import ArrayOps
+from .base import ArrayOps, axis_slice
 
 __all__ = ["FusedOps"]
 
@@ -42,7 +45,8 @@ class _BufferPool:
     """Bounded per-(shape, dtype) free-list of gradient buffers.
 
     Buffers enter via :meth:`release` (from ``Tensor.backward`` clearing
-    interior nodes and from ``zero_grad``) and leave via :meth:`acquire`.
+    interior nodes and from ``zero_grad``; kernels also return their scratch
+    buffers) and leave via :meth:`acquire`.
     The cap bounds worst-case memory; arrays beyond it are simply dropped
     for the garbage collector.  A lock keeps the free-list consistent if a
     grad-recording forward ever runs off the main thread.
@@ -119,37 +123,42 @@ class FusedOps(ArrayOps):
         self.pool.clear()
 
     # ------------------------------------------------------------------
-    # Windowed convolution: stride tricks + one GEMM
+    # Windowed convolution: shifted-slice multiply-accumulate (+ReLU)
     # ------------------------------------------------------------------
-    def conv_window(self, x: np.ndarray, w: np.ndarray,
-                    axis: int) -> np.ndarray:
-        width = w.shape[0]
-        if width == 1:
-            return x * w[0]
-        windows = sliding_window_view(x, width, axis=axis)
-        return np.tensordot(windows, w, axes=([windows.ndim - 1], [0]))
+    def conv_window(self, x: np.ndarray, w: np.ndarray, axis: int,
+                    relu: bool) -> np.ndarray:
+        n = x.shape[axis] - w.shape[0] + 1
+        # Same offset order as the reference composition, so the sum is
+        # bit-equal to it.
+        out = x[axis_slice(x.ndim, axis, 0, n)] * w[0]
+        for m in range(1, w.shape[0]):
+            out += x[axis_slice(x.ndim, axis, m, m + n)] * w[m]
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        return out
 
     def conv_window_backward(self, grad: np.ndarray, x: np.ndarray,
-                             w: np.ndarray, axis: int,
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        width = w.shape[0]
-        if width == 1:
-            return grad * w[0], np.array([float(np.vdot(grad, x))])
-        windows = sliding_window_view(x, width, axis=axis)
-        # dL/dw[m] = Σ grad · x[window shifted by m]: one GEMV over all
-        # output positions at once.
-        gw = np.tensordot(grad, windows,
-                          axes=(list(range(grad.ndim)),
-                                list(range(grad.ndim))))
-        # dL/dx[l] = Σ_m grad[l - m] · w[m]: a *full* correlation, i.e. the
-        # same windowed GEMM against the flipped kernel over zero-padded
-        # grad.
-        pad = [(0, 0)] * grad.ndim
-        pad[axis] = (width - 1, width - 1)
-        padded = np.pad(grad, pad)
-        gwin = sliding_window_view(padded, width, axis=axis)
-        gx = np.tensordot(gwin, w[::-1].copy(),
-                          axes=([gwin.ndim - 1], [0]))
+                             w: np.ndarray, out: np.ndarray, *, axis: int,
+                             relu: bool) -> tuple[np.ndarray, np.ndarray]:
+        if relu:
+            grad = grad * (out > 0)
+        n = grad.shape[axis]
+        gw = np.empty(w.shape[0])
+        gx = np.empty_like(x)
+        gx[axis_slice(x.ndim, axis, n, None)] = 0.0
+        np.multiply(grad, w[0], out=gx[axis_slice(x.ndim, axis, 0, n)])
+        term = np.empty_like(grad)
+        axes = list(range(grad.ndim))
+        for m in range(w.shape[0]):
+            window = axis_slice(x.ndim, axis, m, m + n)
+            # dL/dw[m] = Σ grad · x[m:m+n];  dL/dx[m:m+n] += grad · w[m].
+            # einsum reads the strided window in place; np.vdot would copy
+            # it and call a threaded BLAS dot, which on a loaded two-core
+            # machine intermittently ran the whole backward ~10x slower.
+            gw[m] = np.einsum(grad, axes, x[window], axes, [])
+            if m:
+                np.multiply(grad, w[m], out=term)
+                gx[window] += term
         return gx, gw
 
     # ------------------------------------------------------------------
@@ -157,10 +166,14 @@ class FusedOps(ArrayOps):
     # ------------------------------------------------------------------
     def scatter_rows(self, grad: np.ndarray, indices: np.ndarray,
                      num_rows: int) -> np.ndarray:
-        k = grad.shape[1]
-        flat = (indices[:, None] * k + np.arange(k)[None, :]).ravel()
+        n, k = grad.shape
+        # The flat index is as large as the gradient; a pooled buffer keeps
+        # its allocation (and first-touch page faults) off every call.
+        flat = self.pool.acquire((n * k,), np.intp)
+        np.add((indices * k)[:, None], np.arange(k), out=flat.reshape(n, k))
         dense = np.bincount(flat, weights=grad.ravel(),
                             minlength=num_rows * k)
+        self.pool.release(flat)
         return dense.reshape(num_rows, k)
 
     # ------------------------------------------------------------------

@@ -44,8 +44,8 @@ class HorizontalConv(Module):
         if seq_len < self.width:
             raise ValueError(
                 f"sequence length {seq_len} shorter than kernel width {self.width}")
-        result = kernels.conv_window(c, self.weight, axis=2)
-        return result.relu() if self.activation else result
+        return kernels.conv_window(c, self.weight, axis=2,
+                                   relu=self.activation)
 
 
 class VerticalConv(Module):
@@ -71,5 +71,5 @@ class VerticalConv(Module):
         if num_fields < self.height:
             raise ValueError(
                 f"field count {num_fields} smaller than kernel height {self.height}")
-        result = kernels.conv_window(g, self.weight, axis=1)
-        return result.relu() if self.activation else result
+        return kernels.conv_window(g, self.weight, axis=1,
+                                   relu=self.activation)

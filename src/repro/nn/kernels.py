@@ -23,20 +23,17 @@ from __future__ import annotations
 import numpy as np
 
 from .backend import get_backend
+from .backend.base import axis_slice
 from .tensor import Tensor
 
 __all__ = ["conv_window", "embedding_lookup", "linear_act", "l2_normalize",
            "info_nce"]
 
 
-def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
-    key = [slice(None)] * ndim
-    key[axis] = slice(start, stop)
-    return tuple(key)
-
-
-def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
-    """Valid-mode convolution of the 1-D kernel ``weight`` along ``axis``.
+def conv_window(x: Tensor, weight: Tensor, axis: int,
+                relu: bool = False) -> Tensor:
+    """Valid-mode convolution of the 1-D kernel ``weight`` along ``axis``,
+    followed by a ReLU when ``relu``.
 
     This is the workhorse of MIE (``axis=2``, the time axis of
     ``(B, J, L, K)``) and MIMFE (``axis=1``, the field axis).  The output
@@ -50,16 +47,17 @@ def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
         # seed implementation's graph (same slice keys, same add order).
         result: Tensor | None = None
         for offset in range(width):
-            sl = x[_axis_slice(x.ndim, axis, offset, offset + out_len)]
+            sl = x[axis_slice(x.ndim, axis, offset, offset + out_len)]
             term = sl * weight[offset]
             result = term if result is None else result + term
-        return result
+        return result.relu() if relu else result
 
-    out_data = ops.conv_window(x.data, weight.data, axis)
+    out_data = ops.conv_window(x.data, weight.data, axis, relu)
     x_data, w_data = x.data, weight.data
 
     def backward(grad: np.ndarray) -> None:
-        gx, gw = ops.conv_window_backward(grad, x_data, w_data, axis)
+        gx, gw = ops.conv_window_backward(grad, x_data, w_data, out_data,
+                                          axis=axis, relu=relu)
         if x.requires_grad:
             x._accumulate(gx)
         if weight.requires_grad:

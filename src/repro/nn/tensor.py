@@ -36,6 +36,7 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "concatenate",
+    "gather_per_sample",
     "stack",
     "where",
     "maximum",
@@ -517,6 +518,26 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 tensor._accumulate(grad[tuple(index)])
 
     return Tensor._make(out_data, tuple(tensors), "concatenate", backward)
+
+
+def gather_per_sample(x: Tensor, *index) -> Tensor:
+    """``x[arange(B), *index]``: one gather per sample of axis 0.
+
+    The leading ``arange(B)`` means no two output rows read the same element
+    of ``x``, so the backward adds the gradient in place at the gathered
+    positions of ``x.grad``: no full-size temporary and no ``np.add.at``.
+    Each element receives the same additions, in the same order, as through
+    ``x[key]``, so values and gradients are bit-identical to it.
+    """
+    key = (np.arange(x.shape[0]),) + index
+    out_data = x.data[key]
+
+    def backward(grad: np.ndarray) -> None:
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[key] += grad
+
+    return Tensor._make(out_data, (x,), "gather_per_sample", backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

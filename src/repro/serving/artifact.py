@@ -22,7 +22,6 @@ and keep readers backward compatible where possible.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import zipfile
 from pathlib import Path
@@ -38,6 +37,7 @@ from ..models.registry import MODEL_NAMES, create_model
 from ..nn.backend import get_backend
 from ..nn.serialization import read_state, save_checkpoint
 from ..resilience.atomic import atomic_write_json
+from ..resilience.checkpoint import array_digest
 from .forward import PARITY_BLOCK
 
 __all__ = ["ArtifactError", "MANIFEST_NAME", "WEIGHTS_NAME", "FORMAT_VERSION",
@@ -50,11 +50,6 @@ FORMAT_VERSION = 1
 
 class ArtifactError(ValueError):
     """A serving artifact is missing, malformed, or fails verification."""
-
-
-def array_digest(array: np.ndarray) -> str:
-    """SHA-256 over the array's canonical (C-contiguous) byte content."""
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 def _miss_config_to_dict(config: MISSConfig) -> dict[str, Any]:

@@ -127,6 +127,23 @@ class TestReferenceBitIdentity:
             assert np.array_equal(x1.grad, x2.grad)
             assert np.array_equal(w1.grad, w2.grad)
 
+    def test_conv_window_relu_matches_seed_composition(self):
+        rng = make_rng()
+        for axis in (1, 2):
+            x1 = Tensor(rng.normal(size=(4, 3, 6, 5)), requires_grad=True)
+            w1 = Tensor(rng.normal(size=3), requires_grad=True)
+            x2 = Tensor(x1.data.copy(), requires_grad=True)
+            w2 = Tensor(w1.data.copy(), requires_grad=True)
+            with use_backend("reference"):
+                out = kernels.conv_window(x1, w1, axis, relu=True)
+                cotangent = rng.normal(size=out.shape)
+                out.backward(cotangent)
+                expected = self._seed_conv(x2, w2, axis).relu()
+                expected.backward(cotangent)
+            assert np.array_equal(out.data, expected.data)
+            assert np.array_equal(x1.grad, x2.grad)
+            assert np.array_equal(w1.grad, w2.grad)
+
     def test_dense_matches_seed_composition(self):
         rng = make_rng()
         layer = Dense(5, 3, make_rng(), activation="relu")

@@ -17,6 +17,7 @@ import pytest
 from repro.core import MISSConfig, MISSModule, info_nce
 from repro.data.schema import DatasetSchema, FieldSpec
 from repro.nn import MLP, Dense, Embedding, Tensor, kernels, use_backend
+from repro.nn.backend import FusedOps
 from repro.nn import functional as F
 
 from .helpers import check_gradients
@@ -73,12 +74,59 @@ class TestConvWindow:
             lambda leaves: kernels.conv_window(leaves[0], leaves[1], axis),
             [x, w])
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_relu_matches_reference_at_the_kink(self, width, axis):
+        # Small integers make many pre-activations exactly 0.0: both paths
+        # must mask those (reference relu masks on x > 0; so does the
+        # fused backward) as well as the negative ones.
+        rng = np.random.default_rng(width * 10 + axis)
+        x = rng.integers(-1, 2, size=(3, 4, 6, 2)).astype(np.float64)
+        w = np.array([1.0, -1.0, 2.0, -2.0])[:width]
+        with use_backend("reference"):
+            pre = kernels.conv_window(Tensor(x), Tensor(w), axis).data
+        assert (pre == 0.0).any() and (pre < 0.0).any()
+        _compare_backends(
+            lambda leaves: kernels.conv_window(leaves[0], leaves[1], axis,
+                                               relu=True),
+            [x, w])
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("batch,fields,seq,dim,width,axis", CASES)
+    def test_forward_is_bit_equal_to_reference(self, batch, fields, seq, dim,
+                                               width, axis, relu):
+        # The fused forward adds the shifted slices in the reference order.
+        rng = np.random.default_rng(batch * 100 + width * 10 + axis)
+        x = Tensor(rng.normal(size=(batch, fields, seq, dim)))
+        w = Tensor(rng.normal(size=width))
+        outputs = {}
+        for backend in ("reference", "fused"):
+            with use_backend(backend):
+                outputs[backend] = kernels.conv_window(x, w, axis,
+                                                       relu=relu).data
+        assert np.array_equal(outputs["fused"], outputs["reference"])
+
+    def test_fused_relu_records_one_node(self):
+        x = Tensor(np.ones((2, 2, 4, 3)), requires_grad=True)
+        w = Tensor(np.ones(3), requires_grad=True)
+        with use_backend("fused"):
+            out = kernels.conv_window(x, w, 2, relu=True)
+        assert out._op == "conv_window"
+        assert set(map(id, out._parents)) == {id(x), id(w)}
+
     def test_finite_difference_under_fused(self):
         rng = np.random.default_rng(0)
         with use_backend("fused"):
             check_gradients(
                 lambda t: kernels.conv_window(t[0], t[1], 2).sum(),
                 [rng.normal(size=(2, 2, 5, 3)), rng.normal(size=3)])
+
+    def test_relu_finite_difference_under_fused(self):
+        rng = np.random.default_rng(0)
+        with use_backend("fused"):
+            check_gradients(
+                lambda t: kernels.conv_window(t[0], t[1], 1, relu=True).sum(),
+                [rng.normal(size=(2, 3, 4, 3)), rng.normal(size=2)])
 
 
 class TestEmbeddingLookup:
@@ -93,6 +141,17 @@ class TestEmbeddingLookup:
         _compare_backends(
             lambda leaves: kernels.embedding_lookup(leaves[0], indices),
             [table])
+
+    def test_pooled_index_buffer_is_rebuilt_per_call(self):
+        # Same-shape calls reuse one pooled flat-index buffer: the second
+        # scatter must not see the first call's indices.
+        ops = FusedOps()
+        grad = np.random.default_rng(6).normal(size=(4, 3))
+        for indices in (np.array([0, 1, 2, 3]), np.array([3, 3, 0, 1])):
+            expected = np.zeros((5, 3))
+            np.add.at(expected, indices, grad)
+            np.testing.assert_allclose(ops.scatter_rows(grad, indices, 5),
+                                       expected, rtol=RTOL, atol=ATOL)
 
     def test_unreferenced_rows_get_zero_grad(self):
         table = Tensor(np.ones((6, 3)), requires_grad=True)

@@ -19,7 +19,8 @@ from repro.core import (
 from repro.core.miss import _false_negatives, _id_blocks
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model
-from repro.nn import Tensor
+from repro.nn import Tensor, use_backend
+from repro.training import TrainConfig, Trainer
 
 RNG = np.random.default_rng(4)
 
@@ -144,6 +145,64 @@ class TestAugmentation:
             assert s.view1.shape == (6, 3)
             if s.height == 1:
                 assert s.row1 != s.row2  # distinct fields when possible
+
+    @staticmethod
+    def _padded_mask(batch_size, length):
+        mask = np.ones((batch_size, length), dtype=bool)
+        mask[0, :] = False           # fully padded: falls back to position 0
+        mask[1:, :2] = False
+        return mask
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_interest_gather_grad_matches_add_at(self, backend, batch_size):
+        # Two pairs sample the one map, so several views add into the same
+        # map gradient; the oracle is the generic getitem's np.add.at
+        # scatter, accumulated in the same order.
+        length, fields, dim = 6, 2, 3
+        g = Tensor(RNG.normal(size=(batch_size, fields, length, dim)),
+                   requires_grad=True)
+        rng = np.random.default_rng(batch_size)
+        oracle = np.zeros_like(g.data)
+        with use_backend(backend):
+            samples = sample_interest_pairs(
+                [g], 2, 3, np.random.default_rng(3),
+                mask=self._padded_mask(batch_size, length))
+            for s in samples:
+                for view, positions in ((s.view1, s.left), (s.view2, s.right)):
+                    key = (np.arange(batch_size), slice(None), positions)
+                    assert np.array_equal(view.data,
+                                          g.data[key].reshape(batch_size, -1))
+                    cotangent = rng.normal(size=view.shape)
+                    view.backward(cotangent)
+                    full = np.zeros_like(g.data)
+                    np.add.at(full, key,
+                              cotangent.reshape(batch_size, fields, dim))
+                    oracle += full
+        assert np.array_equal(g.grad, oracle)
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_feature_gather_grad_matches_add_at(self, backend, batch_size):
+        length, rows, dim = 6, 3, 2
+        g = Tensor(RNG.normal(size=(batch_size, rows, length, dim)),
+                   requires_grad=True)
+        rng = np.random.default_rng(batch_size)
+        oracle = np.zeros_like(g.data)
+        with use_backend(backend):
+            samples = sample_feature_pairs(
+                [g], 2, np.random.default_rng(4),
+                mask=self._padded_mask(batch_size, length))
+            for s in samples:
+                for view, row in ((s.view1, s.row1), (s.view2, s.row2)):
+                    key = (np.arange(batch_size), row, s.positions)
+                    assert np.array_equal(view.data, g.data[key])
+                    cotangent = rng.normal(size=view.shape)
+                    view.backward(cotangent)
+                    full = np.zeros_like(g.data)
+                    np.add.at(full, key, cotangent)
+                    oracle += full
+        assert np.array_equal(g.grad, oracle)
 
     def test_invalid_arguments(self):
         maps, length = self._maps()
@@ -364,6 +423,21 @@ class TestPlugin:
         for step in range(1, 5):
             tracker(model, batch, step)
         assert tracker.steps == [2, 4]
+
+    def test_tracker_does_not_change_the_run(self, data):
+        # The tracker samples its pairs from its own generator: a tracked
+        # run must end with exactly the weights of an untracked one.
+        weights = []
+        for observers in ([], [SimilarityTracker(every=1)]):
+            model = attach_miss(create_model("DIN", data.schema, seed=7),
+                                MISSConfig(seed=0))
+            Trainer(TrainConfig(epochs=1, batch_size=16, seed=0)).fit(
+                model, data.train, data.validation, observers=observers)
+            weights.append([p.data.copy() for p in model.parameters()])
+            if observers:
+                assert observers[0].similarities
+        for tracked, untracked in zip(weights[1], weights[0]):
+            assert np.array_equal(tracked, untracked)
 
     def test_smoothed_window(self):
         tracker = SimilarityTracker()
